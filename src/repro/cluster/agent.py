@@ -4,8 +4,9 @@ An Agent wraps the single-machine DOD engine, restricted to its
 partition: its Simulation Builder only instantiates sender state for
 flows starting locally, and its Runner's TransmitSystem hands packets
 whose next hop lives on another machine to an outbox instead of the
-local calendar.  The Cluster Controller flushes outboxes as batched
-RPCs between windows.
+local calendar.  The outboxes move as batched RPCs between windows —
+through the coordinator in-process, peer to peer over shared memory
+across processes (:mod:`repro.cluster.transport`).
 """
 
 from __future__ import annotations
@@ -81,12 +82,35 @@ class AgentEngine(DodEngine):
         super().__init__(scenario, trace_level, workers, backend=backend,
                          telemetry=telemetry or None)
         self.agent_id = agent_id
-        self.partition = partition
+        self._partition = partition
         #: per remote agent: (arrival_ps, node, row) records of this window
         self.outbox: Dict[int, List[Tuple[int, int, Row]]] = {}
         #: boundary-distance table, keyed by the partition object so a
         #: migration rebind invalidates it.
         self._quiet_cache: Optional[Tuple[Partition, Dict[int, int]]] = None
+
+    @property
+    def partition(self) -> Partition:
+        return self._partition
+
+    @partition.setter
+    def partition(self, partition: Partition) -> None:
+        # A migration rebind moves port peers on or off this agent: the
+        # fused transmit sweep's per-port locality column is stale.
+        self._partition = partition
+        self._tx_static = None
+
+    def peer_local_column(self) -> List[bool]:
+        """Per egress port: does its peer live on this agent?  Remote
+        peers' deliveries go to the outbox, local ones take the fused
+        transmit sweep's inline path exactly as on a single machine."""
+        part_of = self._partition.part_of
+        me = self.agent_id
+        return [part_of(port.iface.peer_node) == me for port in self.ports]
+
+    def _maybe_init_memo(self) -> None:
+        """Agents never fast-forward: a window with cross-agent traffic
+        pending must run for real so its outbox fills."""
 
     # --- builder: local endpoints only ------------------------------------
 
@@ -106,16 +130,14 @@ class AgentEngine(DodEngine):
     # --- runner: remote deliveries go to the outbox --------------------------
 
     def deliver(self, node: int, t: int, row: Row) -> None:
-        owner = self.partition.part_of(node)
+        owner = self._partition.assignment[node]
         if owner == self.agent_id:
             super().deliver(node, t, row)
         else:
             self.outbox.setdefault(owner, []).append((t, node, row))
 
-    deliveries_local = False
-
     def deliver_emissions(self, node: int, delay_ps: int, emissions) -> None:
-        owner = self.partition.part_of(node)
+        owner = self._partition.assignment[node]
         if owner == self.agent_id:
             super().deliver_emissions(node, delay_ps, emissions)
         else:
@@ -134,8 +156,14 @@ class AgentEngine(DodEngine):
         return out
 
     def run_window(self, window: int) -> Dict[int, List[Tuple[int, int, Row]]]:
-        """One cluster step: execute the window, hand back the outbox."""
-        self.process_window(window)
+        """One cluster step: execute the window, hand back the outbox.
+
+        An agent with nothing scheduled in ``window`` (no pending entry,
+        no busy port) skips it — the cluster agreed on the minimum over
+        every agent's next window, so its own next window lies beyond.
+        """
+        if self.peek_next_window(window - 1) == window:
+            self.process_window(window)
         return self.take_outbox()
 
     # --- multi-window batching (§4.2 extension) ----------------------------
@@ -146,11 +174,11 @@ class AgentEngine(DodEngine):
         """Run every locally scheduled window in ``(current, end_window)``
         back to back — one batched cluster span, zero barrier rounds.
 
-        The coordinator calls this only after every agent's
-        :meth:`remote_quiet_horizon` proved no cross-agent record can be
-        produced before ``end_window``; the returned outbox is therefore
-        expected to be empty (the coordinator enforces that as a
-        soundness check).  Returns ``(last window run, outbox)``.
+        Called only after every agent's :meth:`remote_quiet_horizon`
+        proved no cross-agent record can be produced before
+        ``end_window``; the returned outbox is therefore expected to be
+        empty (the caller enforces that as a soundness check).  Returns
+        ``(last window run, outbox)``.
         """
         cur = current
         while True:

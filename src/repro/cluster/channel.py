@@ -5,7 +5,7 @@ In the paper's deployment, Agents exchange RPCs over the cluster fabric
 — messages, packet records and bytes per direction, which feed tau_a of
 Eq. (1) and the FINISH-barrier accounting of §4.2 — while the physical
 move of a batch belongs to the :mod:`~repro.cluster.transport` layer
-(in-process mailbox or a multiprocessing pipe).
+(in-process mailbox or a shared-memory ring).
 
 Channels are created lazily by :class:`ChannelMap` on the first send of
 each directed pair, so a large-N plan whose cut touches only a few
@@ -37,10 +37,6 @@ class RpcChannel:
     bytes_sent: int = 0
     #: in-flight batch: (arrival_time_ps, node, row) records
     pending: List[Tuple[int, int, Row]] = field(default_factory=list)
-    #: sequence number stamped on the next drained batch — strictly
-    #: increasing, so the receiver's ChannelSequencer can reject a
-    #: reordered or replayed flush no matter how the transport pipelines.
-    next_seq: int = 1
 
     def send_batch(self, records: List[Tuple[int, int, Row]]) -> None:
         """One RPC carrying a window's worth of packets (§4.2: "it sends
@@ -56,12 +52,6 @@ class RpcChannel:
         out = self.pending
         self.pending = []
         return out
-
-    def drain_with_seq(self) -> Tuple[List[Tuple[int, int, Row]], int]:
-        """Drain plus this batch's channel sequence number."""
-        seq = self.next_seq
-        self.next_seq += 1
-        return self.drain(), seq
 
 
 class ChannelMap:

@@ -2,17 +2,24 @@
 
 PR 1 unified the single-machine engines behind ``build`` / ``advance``
 / ``finalize`` and one :class:`~repro.core.runner.EngineRunner` loop.
-:class:`ClusterEngine` brings the distributed stack into the same shape:
+:class:`ClusterEngine` brings the distributed stack into the same shape.
+Over the coordinator-driven :class:`~repro.cluster.transport.LocalTransport`
 one ``advance()`` executes one cluster-wide lookahead window end to end —
 
 1. agree on the window (min over the agents' ``peek_next_window``, the
    conservative synchronization of §4.2),
 2. run any scheduled live migration (Appendix A),
-3. execute the window on every agent through the transport (a
-   ``ProcessTransport`` overlaps the agents across cores),
+3. execute the window on every agent through the transport,
 4. flush outboxes as batched RPCs, drain them into their destinations,
    count the N*(N-1) FINISH signals,
 5. optionally snapshot every agent for fault tolerance.
+
+Over an agent-driven transport (the
+:class:`~repro.cluster.transport.ProcessTransport`) the agents run steps
+1, 3 and 4 themselves over shared memory, and one ``advance()`` is one
+*epoch*: every window up to the next control point the coordinator owns
+— a ``checkpoint_every`` boundary, a :class:`FaultPlan` window, the
+duration cut or the end of the run.
 
 Because it is an :class:`~repro.core.runner.Engine`, ``EngineRunner``,
 ``python -m repro profile --cluster`` and checkpoint resume all drive a
@@ -28,23 +35,26 @@ tagged ``a<id>:<system>`` — so the profiler and the time-cost model
 per-agent window costs.
 
 Fault tolerance: with ``checkpoint_every`` (or a ``fault``) set, the
-runtime keeps the latest per-agent snapshots plus a log of every record
-delivered since.  When the transport reports an
-:class:`~repro.cluster.transport.AgentFailure`, ``_recover`` restores
-the dead agent from its snapshot, replays the logged inbound batches,
-re-runs the missed windows with outboxes discarded, and the merged trace
-stays byte-identical to the fault-free run.
+runtime keeps the latest per-agent snapshots.  When the transport
+reports an :class:`~repro.cluster.transport.AgentFailure`, the
+coordinator-driven path restores the dead agent, replays the inbound
+batches logged since the snapshot and re-runs the missed windows with
+outboxes discarded; the agent-driven path rolls every agent back to
+the snapshot (a consistent cut: channels drained) and re-runs the
+epoch.  Either way the merged trace stays byte-identical to the
+fault-free run.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .agent import AgentSpec
 from .fault import FaultPlan, RecoveryStats
 from .transport import (
-    AgentFailure, AgentReport, LocalTransport, Record, Transport,
+    AgentFailure, EpochReply, LocalTransport, Record, Transport,
     make_transport,
 )
 from ..core.instrument import InstrumentationBus
@@ -101,8 +111,9 @@ class ClusterEngine:
             self.bus.metrics.histogram("cluster.barrier_wait_ms",
                                        WAIT_MS_BUCKETS)
         self.transport.bus = self.bus
-        #: Coordinator-observed per-agent busy / barrier-wait seconds,
-        #: accumulated per window; exported as ``a<i>:busy_s`` /
+        #: Per-agent busy / barrier-wait seconds — measured by the agents
+        #: themselves on an agent-driven transport, split from the
+        #: serial window times in-process; exported as ``a<i>:busy_s`` /
         #: ``a<i>:barrier_wait_s`` gauges at finalize — the exact series
         #: :func:`repro.partition.refit_cluster_spec` takes as
         #: ``measured_times``.
@@ -113,8 +124,8 @@ class ClusterEngine:
         #: ``True`` forced on, default (``None`` argument) arms it when
         #: the bus is telemetered or ``$REPRO_WATCHDOG`` is set; an
         #: instance is adopted as-is.  An armed watchdog makes the
-        #: transport measure ``window_times`` even with telemetry off
-        #: (``track_times``) — reply timing without span capture.
+        #: transport measure per-agent window times even with telemetry
+        #: off (``track_times``) — timing without span capture.
         self.watchdog = self._make_watchdog(watchdog)
         if self.watchdog is not None:
             self.transport.track_times = True
@@ -125,14 +136,25 @@ class ClusterEngine:
 
         self._lookahead = self.specs[0].scenario.lookahead_ps
         self._cursor = -1
+        #: Agent-driven transports: the window the agents agreed to run
+        #: next (``None`` before the first epoch), and whether nothing
+        #: runnable is left.
+        self._next: Optional[int] = None
+        self._done = False
         self._built = False
         self._finalized = False
+        #: An unrecoverable failure: finalize only shuts down.
+        self._failed = False
 
         # Fault-tolerance state: latest snapshots + deliveries since.
         self._snapshots: Optional[List[bytes]] = None
         self._snap_window = -1
         self._replay_log: Dict[int, List[Record]] = {}
         self._windows_since_snap: List[int] = []
+        #: Agent-driven rollback: windows run since the snapshot, and the
+        #: traffic accounting as of the snapshot.
+        self._rounds_since_snap = 0
+        self._snap_accounting = None
 
     def _make_watchdog(self, arg: Union[bool, None, "object"]):
         if arg is False:
@@ -222,7 +244,10 @@ class ClusterEngine:
                 )
 
     def advance(self) -> bool:
-        """Execute one cluster-wide lookahead window; False when done."""
+        """Execute one cluster-wide lookahead window (one epoch on an
+        agent-driven transport); False when done."""
+        if self.transport.agent_driven:
+            return self._advance_epoch()
         transport = self.transport
         bus = self.bus
         telemetry = bus.telemetry
@@ -255,15 +280,12 @@ class ClusterEngine:
             self.fault.fired = True
             transport.kill(self.fault.agent)
 
-        outboxes = transport.run_window_all(
-            window, self._active_mask(peeks, window))
+        outboxes = transport.run_window_all(window)
         for agent_id, out in enumerate(outboxes):
             if isinstance(out, AgentFailure):
                 outboxes[agent_id] = self._recover(agent_id, window)
-        if self.watchdog is not None:
-            self.watchdog.observe(window, transport.window_times, bus)
+        self._window_times(window, transport.window_times)
         if telemetry:
-            self._window_telemetry(window)
             _f0 = bus.now()
 
         for agent_id, out in enumerate(outboxes):
@@ -286,28 +308,6 @@ class ClusterEngine:
                     and len(self._windows_since_snap) >= self.checkpoint_every):
                 self._take_snapshots(window)
         return True
-
-    def _active_mask(self, peeks: List[Optional[int]],
-                     window: int) -> Optional[List[bool]]:
-        """Which agents actually have work this window.
-
-        An agent whose peek is beyond the agreed window has nothing
-        scheduled — no pending entries, no busy ports — so running the
-        window there is a provable no-op and the transport skips the
-        command round-trip.  A dead agent must still be dispatched (the
-        failure is what triggers recovery), and a pending migration
-        rewrites agent state behind the peeks' back, so no skipping
-        while one is scheduled.  ``None`` means everyone runs.
-        """
-        if self.schedule:
-            return None
-        transport = self.transport
-        mask = [
-            (peek is not None and peek <= window)
-            or not transport.alive(agent_id)
-            for agent_id, peek in enumerate(peeks)
-        ]
-        return None if all(mask) else mask
 
     def _advance_span(self, window: int, horizon: int, _w0: float) -> bool:
         """Barrier-free batched span: every agent runs its scheduled
@@ -332,10 +332,7 @@ class ClusterEngine:
                     f"agent {agent_id} emitted cross-agent records inside "
                     f"a quiet span [{window}, {horizon})"
                 )
-        if self.watchdog is not None:
-            self.watchdog.observe(window, transport.window_times, bus)
-        if telemetry:
-            self._window_telemetry(window)
+        self._window_times(window, transport.window_times)
         transport.barrier()
         bus.count("cluster.windows")
         bus.count("cluster.batch_spans")
@@ -346,43 +343,128 @@ class ClusterEngine:
         self._cursor = horizon - 1
         return True
 
+    def _advance_epoch(self) -> bool:
+        """One epoch of an agent-driven transport: the agents run every
+        window up to the next control point the coordinator owns."""
+        if self._done:
+            return False
+        transport = self.transport
+        bus = self.bus
+        telemetry = bus.telemetry
+        fault = self.fault
+        if (fault is not None and not fault.fired and self._next is not None
+                and self._next >= fault.at_window):
+            fault.fired = True
+            transport.kill(fault.agent)
+        _w0 = bus.now() if telemetry else 0.0
+        end_window = (fault.at_window
+                      if fault is not None and not fault.fired else None)
+        max_windows = None
+        batch = self.batch_windows
+        if self._fault_tolerant:
+            batch = 1
+            if self.checkpoint_every:
+                max_windows = self.checkpoint_every - self._rounds_since_snap
+        if telemetry:
+            bus.span_add("agree", _w0, bus.now(), "cluster")
+        try:
+            replies = transport.run_windows_all(self._cursor, end_window,
+                                                max_windows, batch)
+        except AgentFailure as failure:
+            self._rollback(failure)
+            return True
+        except BaseException:
+            # Agents may still be inside the epoch: finalize must only
+            # shut them down, never ask them for results.
+            self._failed = True
+            raise
+        _f0 = bus.now() if telemetry else 0.0
+        lead = replies[0]
+        self._cursor = lead.cursor
+        self._next = lead.next_window
+        duration = self.specs[0].scenario.duration_ps
+        if self._next is None or (duration is not None and
+                                  self._next * self._lookahead > duration):
+            self._done = True
+        if lead.rounds:
+            bus.count("cluster.windows", lead.rounds)
+        if lead.spans:
+            bus.count("cluster.batch_spans", lead.spans)
+            bus.count("cluster.batched_windows", lead.batched_windows)
+        self._epoch_times(replies)
+        if telemetry:
+            now = bus.now()
+            bus.span_add("flush", _f0, now, "cluster")
+            bus.span_add("window", _w0, now, "cluster",
+                         {"index": self._cursor, "rounds": lead.rounds})
+        if self._fault_tolerant:
+            self._rounds_since_snap += lead.rounds
+            if (self.checkpoint_every and not self._done
+                    and self._rounds_since_snap >= self.checkpoint_every):
+                self._take_snapshots(self._cursor)
+        return lead.rounds > 0 or not self._done
+
+    def _epoch_times(self, replies: List[EpochReply]) -> None:
+        """Fold the agents' own busy / barrier-wait measurements in."""
+        for agent_id, reply in enumerate(replies):
+            self._busy_s[agent_id] += reply.busy_s
+            self._wait_s[agent_id] += reply.wait_s
+        if self.watchdog is not None and replies[0].times is not None:
+            for k, (window, _busy) in enumerate(replies[0].times):
+                self.watchdog.observe(
+                    window, [reply.times[k][1] for reply in replies],
+                    self.bus)
+
     def progress(self) -> Dict[str, object]:
         """In-flight progress snapshot, same shape as
         :meth:`repro.core.engine.DodEngine.progress`.
 
+        Inside an epoch it reads the window cursor the agents publish in
+        shared memory, so it stays live while ``advance()`` blocks.
         Per-agent event counts only merge at ``finalize()``, so the
         ``events`` field stays 0 mid-run on a cluster engine — the live
         plane documents this and consumers fall back to window progress.
         """
-        sim_ps = (self._cursor + 1) * self._lookahead if self._cursor >= 0 else 0
+        cursor = self._cursor
+        if self.transport.agent_driven:
+            live, windows = self.transport.progress()
+            if live is not None:
+                cursor = live
+        else:
+            windows = self.bus.counters.get("cluster.windows", 0)
+        sim_ps = (cursor + 1) * self._lookahead if cursor >= 0 else 0
         duration = self.specs[0].scenario.duration_ps
         return {
-            "windows": self.bus.counters.get("cluster.windows", 0),
+            "windows": windows,
             "sim_ps": sim_ps,
             "duration_ps": duration,
             "events": self.results.events.total,
             "done": min(1.0, sim_ps / duration) if duration else None,
         }
 
-    def _window_telemetry(self, window: int) -> None:
-        """Split the window the coordinator just ran into per-agent busy
-        time and barrier wait (slowest agent waits zero), as both
-        ``a<i>:barrier-wait`` timeline slices and accumulated seconds."""
-        bus = self.bus
-        times = self.transport.window_times
+    def _window_times(self, window: int, times: List[float]) -> None:
+        """Split one coordinator-driven window into per-agent busy time
+        and barrier wait (the agents ran serially, so the slowest waits
+        zero); with telemetry also as ``a<i>:barrier-wait`` timeline
+        slices and ``cluster.barrier_wait_ms`` samples."""
         if not times:
             return
-        t_done = bus.now()
+        bus = self.bus
+        if self.watchdog is not None:
+            self.watchdog.observe(window, times, bus)
+        telemetry = bus.telemetry
+        t_done = bus.now() if telemetry else 0.0
         t_max = max(times)
         for agent_id, busy in enumerate(times):
             wait = t_max - busy
             self._busy_s[agent_id] += busy
             self._wait_s[agent_id] += wait
-            bus.metrics.record("cluster.barrier_wait_ms", wait * 1e3)
-            if wait > 0.0:
-                bus.span_add(f"a{agent_id}:barrier-wait",
-                             t_done - wait, t_done, "cluster",
-                             {"window": window})
+            if telemetry:
+                bus.metrics.record("cluster.barrier_wait_ms", wait * 1e3)
+                if wait > 0.0:
+                    bus.span_add(f"a{agent_id}:barrier-wait",
+                                 t_done - wait, t_done, "cluster",
+                                 {"window": window})
 
     def finalize(self) -> SimResults:
         """Collect per-agent results and bus streams, merge, shut down."""
@@ -390,6 +472,8 @@ class ClusterEngine:
             return self.results
         self._finalized = True
         try:
+            if self._failed:
+                return self.results
             reports = self.transport.finish_all()
             self.per_agent = [report.results for report in reports]
             self.results = merge_results(
@@ -402,21 +486,15 @@ class ClusterEngine:
                     spans=report.spans, metrics=report.metrics,
                     epoch_wall=report.epoch_wall,
                 )
-            if self.bus.telemetry:
+            if self.bus.telemetry or self.watchdog is not None:
+                # Window times were measured (spans on, or the watchdog
+                # asked for them even with telemetry off): export them
+                # so the measure -> refit_cluster_spec loop closes.
                 for agent_id in range(len(self.specs)):
                     self.bus.metrics.gauge(f"a{agent_id}:busy_s",
                                            self._busy_s[agent_id])
                     self.bus.metrics.gauge(f"a{agent_id}:barrier_wait_s",
                                            self._wait_s[agent_id])
-            elif self.watchdog is not None:
-                # Telemetry off but the watchdog measured reply times:
-                # export its accumulated busy/wait so the measure →
-                # refit_cluster_spec loop still closes.
-                for agent_id in range(len(self.specs)):
-                    self.bus.metrics.gauge(f"a{agent_id}:busy_s",
-                                           self.watchdog.busy_s[agent_id])
-                    self.bus.metrics.gauge(f"a{agent_id}:barrier_wait_s",
-                                           self.watchdog.wait_s[agent_id])
             self.transport.finalize_stats()
         finally:
             self.transport.close()
@@ -456,7 +534,50 @@ class ClusterEngine:
         self._snap_window = window
         self._replay_log = {}
         self._windows_since_snap = []
+        self._rounds_since_snap = 0
+        if self.transport.agent_driven:
+            transport = self.transport
+            self._snap_accounting = copy.deepcopy(
+                (transport.channels, transport.stats,
+                 self.bus.counters.get("cluster.windows", 0)))
         self.bus.count("cluster.checkpoints")
+
+    def _rollback(self, failure: AgentFailure) -> None:
+        """Agent-driven recovery: restore *every* agent from the latest
+        snapshot — the dead one into a respawned worker — and rewind the
+        traffic accounting to it; the next epoch re-runs the windows
+        since.  The snapshot is a consistent cut (every ring drained),
+        so the re-run is the original timeline again."""
+        agent_id = failure.agent_id
+        failed_window = max(failure.window, self._next or 0)
+        if self._snapshots is None:
+            self._failed = True
+            raise ClusterError(
+                f"agent {agent_id} died at window {failed_window} and no "
+                "checkpoint exists (enable checkpoint_every)"
+            ) from failure
+        transport = self.transport
+        replayed = self._rounds_since_snap
+        with self.bus.span("replay", "transport", agent=agent_id,
+                           window=failed_window,
+                           from_window=self._snap_window):
+            for agent in range(len(self.specs)):
+                transport.restore(agent, self._snapshots[agent],
+                                  self._snap_window)
+        channels, stats, windows = copy.deepcopy(self._snap_accounting)
+        transport.channels, transport.stats = channels, stats
+        self.bus.counters["cluster.windows"] = windows
+        self._cursor = self._snap_window
+        self._next = None
+        self._done = False
+        self._rounds_since_snap = 0
+        self.recoveries.append(RecoveryStats(
+            agent=agent_id,
+            failed_window=failed_window,
+            restored_from_window=self._snap_window,
+            windows_replayed=replayed,
+        ))
+        self.bus.count("cluster.recoveries")
 
     def _recover(self, agent_id: int, window: int) -> Dict[int, List[Record]]:
         """Restore a dead agent, replay its missed inputs, catch it up,

@@ -1,38 +1,38 @@
-"""Zero-copy shared-memory framing for the process transport (PR 8).
+"""Shared-memory plumbing of the process transport.
 
-The :class:`~repro.cluster.transport.ProcessTransport` used to move
-every window batch, snapshot and restore payload through its command
-pipe pickled.  This module gives it a second lane: named
-``multiprocessing.shared_memory`` segments the coordinator creates at
-launch, into which batches are written as raw ``int64`` column slices
-with a compact struct-packed framing — the pipe then carries only a
-``("shm", seq)`` reference.  Pickle remains the fallback for payloads
-that do not fit a slot (or when shared memory is off), so correctness
-never depends on the fast path.
+:class:`~repro.cluster.transport.ProcessTransport` agents drive the §4.2
+window loop themselves; everything they exchange per window lives in
+named ``multiprocessing.shared_memory`` segments the coordinator creates
+at launch:
 
-Layout of one *ring* (one direction of one coordinator<->worker pair)::
+* one :class:`ControlBlock` — int64 words holding the abort word and,
+  per agent, the FINISH-barrier sequence word, the double-buffered
+  value the barrier reduces (the agent's next window, or its quiet
+  horizon) and the published window cursor;
+* one single-writer :class:`ShmRing` per ordered agent pair, carrying
+  that channel's per-window record frame;
+* one coordinator->agent :class:`ShmRing` per agent (its *inbox*) for
+  administrative deliveries (:meth:`Transport.accept`).
+
+Layout of one ring::
 
     [0:8)   slot_bytes          geometry, written once at create
     [8:16)  n_slots
     then n_slots slots, each:
       [0:8)   commit word: the frame's sequence number, written LAST —
-              a reader that finds anything but the seq it was told to
-              read caught a torn (half-written) frame
+              a reader that finds anything but the seq it expects caught
+              a torn (half-written) frame or a protocol desync
       [8:32)  frame header <qqq>: kind, count, payload length
       [32:..) payload
 
 A writer may reuse slot ``seq % n_slots`` only once it knows the reader
-consumed ``seq - n_slots`` (ack-by-sequence, inferred from the command
-protocol's reply ordering); when no slot is free — or the payload is
-too large — the caller falls back to the pipe instead of blocking, so
-the ring can never deadlock the window protocol.
+consumed ``seq - n_slots`` (ack-by-sequence, inferred from the barrier
+protocol).  A record frame too large for a slot is written to a one-off
+blob segment and the slot carries only its name (``KIND_BLOB``), so no
+frame size can stall the window loop.
 
 Record framing: one delivery ``(arrival_ps, node, row)`` is exactly
-``2 + len(ROW_FIELDS)`` little-endian int64 words.  Cross-agent accept
-batches are framed as per-channel *sections* ``(src, chan_seq,
-records)``; every channel's ``chan_seq`` is strictly monotone, which is
-what lets the worker-side :class:`ChannelSequencer` reject reordered or
-replayed batches no matter how flushes and acks interleave.
+``2 + len(ROW_FIELDS)`` little-endian int64 words.
 
 ``unpack_records`` is deliberately a module-level hook: the conformance
 suite's planted bug ``inject.torn_shm_read`` swaps it for one that
@@ -45,8 +45,9 @@ from __future__ import annotations
 import os
 import secrets
 import struct
+import time
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ClusterError
 from ..protocols.packet import ROW_FIELDS, Row
@@ -56,10 +57,8 @@ from ..protocols.packet import ROW_FIELDS, Row
 SEGMENT_PREFIX = "dons-shm-"
 
 #: Frame kinds.
-KIND_OUTBOX = 1    #: worker -> coordinator: one window's outbox
-KIND_SECTIONS = 2  #: coordinator -> worker: per-channel accept sections
-KIND_BYTES = 3     #: opaque blob (checkpoint payloads)
-KIND_PICKLE = 4    #: pickled object (non-columnar fallback payload)
+KIND_RECORDS = 1   #: packed delivery records
+KIND_BLOB = 2      #: name of a blob segment holding a records payload
 
 #: One record = (arrival_ps, node, *row) as little-endian int64 words.
 WORDS_PER_RECORD = 2 + len(ROW_FIELDS)
@@ -95,12 +94,8 @@ class TornFrameError(ClusterError):
     was told to read — the write was torn or the protocol desynced."""
 
 
-class SequenceError(ClusterError):
-    """A channel delivered a batch out of sequence (reordered/replayed)."""
-
-
 class RingFull(ClusterError):
-    """No free slot — the caller must take the pipe fallback."""
+    """No free slot: the writer outran the protocol's consumption bound."""
 
 
 # --- record / batch framing -------------------------------------------------
@@ -129,93 +124,6 @@ def unpack_records(view, count: int) -> List[Tuple[int, int, Row]]:
                     tuple(flat[k + 2:k + WORDS_PER_RECORD])))
         k += WORDS_PER_RECORD
     return out
-
-
-def records_fit(count: int, capacity: int, extra_words: int = 0) -> bool:
-    return count * RECORD_BYTES + 8 * extra_words <= capacity
-
-
-def pack_outbox(outbox: Dict[int, List[Tuple[int, int, Row]]]) -> bytes:
-    """``{dst: records}`` as ``n_dsts, (dst, count, records)*``."""
-    parts = [struct.pack("<q", len(outbox))]
-    for dst in sorted(outbox):
-        records = outbox[dst]
-        parts.append(struct.pack("<qq", dst, len(records)))
-        parts.append(pack_records(records))
-    return b"".join(parts)
-
-
-def outbox_record_count(outbox: Dict[int, List[Tuple[int, int, Row]]]) -> int:
-    return sum(len(records) for records in outbox.values())
-
-
-def unpack_outbox(view) -> Dict[int, List[Tuple[int, int, Row]]]:
-    (n_dsts,) = struct.unpack_from("<q", view, 0)
-    off = 8
-    out: Dict[int, List[Tuple[int, int, Row]]] = {}
-    for _ in range(n_dsts):
-        dst, count = struct.unpack_from("<qq", view, off)
-        off += 16
-        out[dst] = unpack_records(memoryview(view)[off:], count)
-        off += count * RECORD_BYTES
-    return out
-
-
-#: One accept section: (src agent, per-channel batch seq, records).
-Section = Tuple[int, int, List[Tuple[int, int, Row]]]
-
-
-def pack_sections(sections: Sequence[Section]) -> bytes:
-    """Per-channel accept sections, concatenated in ``src`` order."""
-    parts = [struct.pack("<q", len(sections))]
-    for src, chan_seq, records in sections:
-        parts.append(struct.pack("<qqq", src, chan_seq, len(records)))
-        parts.append(pack_records(records))
-    return b"".join(parts)
-
-
-def sections_record_count(sections: Sequence[Section]) -> int:
-    return sum(len(records) for _, _, records in sections)
-
-
-def unpack_sections(view) -> List[Section]:
-    (n_sections,) = struct.unpack_from("<q", view, 0)
-    off = 8
-    out: List[Section] = []
-    for _ in range(n_sections):
-        src, chan_seq, count = struct.unpack_from("<qqq", view, off)
-        off += 24
-        out.append((src, chan_seq,
-                    unpack_records(memoryview(view)[off:], count)))
-        off += count * RECORD_BYTES
-    return out
-
-
-class ChannelSequencer:
-    """Receiver-side monotonicity guard for per-channel batch sequences.
-
-    Every directed channel stamps its drained batches with a strictly
-    increasing sequence number (:meth:`RpcChannel.drain_with_seq`); the
-    receiving agent feeds each section through :meth:`observe`, which
-    raises :class:`SequenceError` on any regression or replay.  A fresh
-    sequencer (a restored agent) accepts any first value per channel —
-    recovery replays arrive as administrative batches (``src == -1``)
-    that bypass the guard.
-    """
-
-    def __init__(self) -> None:
-        self._last: Dict[int, int] = {}
-
-    def observe(self, src: int, chan_seq: int) -> None:
-        if src < 0:
-            return  # administrative replay, outside channel sequencing
-        last = self._last.get(src)
-        if last is not None and chan_seq <= last:
-            raise SequenceError(
-                f"channel {src}: batch seq {chan_seq} after {last} "
-                "(reordered or replayed)"
-            )
-        self._last[src] = chan_seq
 
 
 # --- shared-memory ring -----------------------------------------------------
@@ -264,23 +172,51 @@ def _fresh_name(tag: str) -> str:
     return f"{SEGMENT_PREFIX}{os.getpid()}-{tag}-{secrets.token_hex(4)}"
 
 
-class ShmRing:
+class _Segment:
+    """One named segment: every process closes it, its creator (the
+    coordinator) alone unlinks it."""
+
+    def __init__(self, seg: shared_memory.SharedMemory,
+                 created: bool) -> None:
+        self._seg = seg
+        self.name = seg.name
+        self._created = created
+        self.unlinked = False
+        self._closed = False
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self._seg.close()
+        except BufferError:  # pragma: no cover - a view outlived us
+            pass
+
+    def unlink(self) -> None:
+        """Remove the segment name; exactly-once (idempotent re-calls)."""
+        if self.unlinked or not self._created:
+            return
+        self.unlinked = True
+        try:
+            self._seg.unlink()
+        except FileNotFoundError:  # pragma: no cover - reaped externally
+            pass
+
+
+class ShmRing(_Segment):
     """One direction of framed slots inside one shared segment.
 
-    The creating side (the coordinator) may act as writer or reader —
-    each process uses only one role per ring.  ``next_seq`` starts at 1;
-    slot for seq ``s`` is ``(s - 1) % n_slots``.
+    Each process uses only one role (writer or reader) per ring.
+    ``next_seq`` starts at 1; slot for seq ``s`` is
+    ``(s - 1) % n_slots``.
     """
 
     def __init__(self, seg: shared_memory.SharedMemory, slot_bytes: int,
                  n_slots: int, created: bool) -> None:
-        self._seg = seg
-        self.name = seg.name
+        super().__init__(seg, created)
         self.slot_bytes = slot_bytes
         self.n_slots = n_slots
-        self._created = created
-        self.unlinked = False
-        self._closed = False
         # writer state
         self.next_seq = 1
         self.consumed_floor = 0   # highest seq known consumed by reader
@@ -309,25 +245,6 @@ class ShmRing:
         seg = _attach_segment(name)
         slot_bytes, n_slots = _GEOMETRY.unpack_from(seg.buf, 0)
         return cls(seg, slot_bytes, n_slots, created=False)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._seg.close()
-        except BufferError:  # pragma: no cover - a view outlived us
-            pass
-
-    def unlink(self) -> None:
-        """Remove the segment name; exactly-once (idempotent re-calls)."""
-        if self.unlinked or not self._created:
-            return
-        self.unlinked = True
-        try:
-            self._seg.unlink()
-        except FileNotFoundError:  # pragma: no cover - reaped externally
-            pass
 
     # -- geometry --
 
@@ -385,8 +302,8 @@ class ShmRing:
         """The frame published as ``seq``: ``(kind, count, payload_view)``.
 
         The returned view aliases the slot — decode before the writer
-        can reuse it (the command protocol guarantees the writer waits
-        for our side's next message).
+        can reuse it (the protocol guarantees the writer waits for the
+        reader's next barrier or reply).
         """
         base = self._slot_off(self.slot_bytes, (seq - 1) % self.n_slots)
         buf = self._seg.buf
@@ -399,6 +316,10 @@ class ShmRing:
         start = base + _COMMIT.size + _HEADER.size
         self.last_read = max(self.last_read, seq)
         return kind, count, memoryview(buf)[start:start + length]
+
+    def read_next(self):
+        """:meth:`read_frame` of the frame after the last one read."""
+        return self.read_frame(self.last_read + 1)
 
 
 # --- one-off blob segments (checkpoint payloads) ----------------------------
@@ -437,6 +358,179 @@ def read_blob(name: str, nbytes: int) -> bytes:
     return payload
 
 
+# --- record frames ----------------------------------------------------------
+
+def write_records(ring: ShmRing, records: Sequence[Tuple[int, int, Row]],
+                  blob_tag: str) -> bool:
+    """Publish ``records`` as the ring's next frame.
+
+    A payload larger than a slot goes to a one-off blob segment (the
+    reader unlinks it) and the frame carries its name instead.  Returns
+    ``True`` when the blob lane was taken.
+    """
+    payload = pack_records(records) if records else b""
+    if len(payload) <= ring.frame_capacity:
+        ring.write_frame(KIND_RECORDS, len(records), (payload,))
+        return False
+    name, nbytes = write_blob(blob_tag, (payload,))
+    ring.write_frame(KIND_BLOB, len(records),
+                     (struct.pack("<q", nbytes), name.encode()))
+    return True
+
+
+def read_records(ring: ShmRing) -> List[Tuple[int, int, Row]]:
+    """Decode the ring's next frame written by :func:`write_records`."""
+    kind, count, view = ring.read_next()
+    if not count:
+        return []
+    if kind == KIND_BLOB:
+        (nbytes,) = struct.unpack_from("<q", view, 0)
+        view = read_blob(bytes(view[8:]).decode(), nbytes)
+    elif kind != KIND_RECORDS:
+        raise TornFrameError(f"ring {ring.name}: unexpected frame kind {kind}")
+    return unpack_records(view, count)
+
+
+# --- control block: barrier words --------------------------------------------
+
+#: Barrier value standing for "no window" (an agent with nothing left).
+NO_WINDOW = 1 << 62
+
+#: FINISH-barrier wait schedule: yield-spin for ``SPIN_S`` (a peer a few
+#: hundred microseconds behind is the common case), then sleep in
+#: ``SLEEP_S`` steps (a peer that slow is descheduled or stalled).
+SPIN_S = 0.002
+SLEEP_S = 0.0002
+
+_yield = getattr(os, "sched_yield", lambda: time.sleep(0))
+
+
+class EpochAborted(ClusterError):
+    """The abort word was raised (or the coordinator vanished) while an
+    agent waited at a barrier: a peer died mid-epoch."""
+
+
+class ControlBlock(_Segment):
+    """The int64 words the agents synchronize on.
+
+    Word 0 is the abort word, word 1 the agent count; then one 64-byte
+    line per agent: its barrier sequence word, the two parity slots of
+    the value it contributes to the barrier's min-reduction, and the
+    window cursor and barrier round it last completed.  Each word has
+    exactly one writer (the coordinator owns the header, agent ``i``
+    its own line), and values are published before the sequence word
+    that announces them.  Slot parity makes reuse safe: an agent writes
+    the slot of generation ``g + 2`` only after passing barrier
+    ``g + 1``, which every peer enters only after reading generation
+    ``g``'s values.
+    """
+
+    _STRIDE = 8
+    _SEQ, _VAL, _CURSOR, _ROUNDS = 0, 1, 3, 4
+
+    def __init__(self, seg: shared_memory.SharedMemory,
+                 created: bool) -> None:
+        super().__init__(seg, created)
+        self._words = seg.buf.cast("q")
+        self.n_agents = self._words[1]
+        self.gen = 0
+        self._base = 0
+        self._peer_bases: List[int] = []
+        self._ppid = os.getppid()
+
+    @classmethod
+    def create(cls, tag: str, n_agents: int) -> "ControlBlock":
+        size = 8 * cls._STRIDE * (n_agents + 1)
+        seg = shared_memory.SharedMemory(
+            create=True, size=size, name=_fresh_name(tag))
+        seg.buf[:size] = bytes(size)
+        struct.pack_into("<q", seg.buf, 8, n_agents)
+        return cls(seg, created=True)
+
+    @classmethod
+    def attach(cls, name: str) -> "ControlBlock":
+        return cls(_attach_segment(name), created=False)
+
+    def close(self) -> None:
+        if not self._closed:
+            self._words.release()
+        super().close()
+
+    def _line(self, agent: int) -> int:
+        return self._STRIDE * (agent + 1)
+
+    # -- coordinator side --
+
+    def reset(self) -> None:
+        """Zero every agent line and the abort word (between epochs,
+        while no agent is inside one)."""
+        words = self._words
+        words[0] = 0
+        for k in range(self._STRIDE, len(words)):
+            words[k] = 0
+
+    def abort(self) -> None:
+        self._words[0] = 1
+
+    def progress(self) -> Tuple[int, int]:
+        """``(cursor, rounds)`` the slowest agent has completed in the
+        current epoch."""
+        words = self._words
+        lines = [self._line(a) for a in range(self.n_agents)]
+        return (min(words[b + self._CURSOR] for b in lines),
+                min(words[b + self._ROUNDS] for b in lines))
+
+    # -- agent side --
+
+    def bind(self, agent: int) -> None:
+        """Act as ``agent``: barriers count from generation 0 again."""
+        self.gen = 0
+        self._base = self._line(agent)
+        self._peer_bases = [self._line(a) for a in range(self.n_agents)
+                            if a != agent]
+
+    def publish(self, cursor: int, rounds: int) -> None:
+        words = self._words
+        words[self._base + self._CURSOR] = cursor
+        words[self._base + self._ROUNDS] = rounds
+
+    def allmin(self, value: int) -> Tuple[int, float]:
+        """Barrier: contribute ``value``, wait for every peer, return the
+        minimum over all contributions and the seconds spent waiting."""
+        self.gen = gen = self.gen + 1
+        words = self._words
+        slot = self._VAL + (gen & 1)
+        base = self._base
+        words[base + slot] = value
+        words[base + self._SEQ] = gen
+        waited = 0.0
+        out = value
+        for peer in self._peer_bases:
+            if words[peer] < gen:
+                waited += self._await(peer, gen)
+            v = words[peer + slot]
+            if v < out:
+                out = v
+        return out, waited
+
+    def _await(self, peer: int, gen: int) -> float:
+        words = self._words
+        t0 = time.perf_counter()
+        now = t0
+        spin_until = t0 + SPIN_S
+        while words[peer] < gen:
+            if words[0]:
+                raise EpochAborted("abort word raised")
+            if now < spin_until:
+                _yield()
+            else:
+                time.sleep(SLEEP_S)
+                if os.getppid() != self._ppid:
+                    raise EpochAborted("coordinator exited")
+            now = time.perf_counter()
+        return now - t0
+
+
 # --- orphan reaping ---------------------------------------------------------
 
 def list_orphans() -> List[str]:
@@ -450,14 +544,19 @@ def list_orphans() -> List[str]:
     )
 
 
-def reap_orphans() -> List[str]:
+def reap_orphans(pid: Optional[int] = None) -> List[str]:
     """Unlink every leftover segment; returns the reaped names.
 
     The conftest worker-reaper calls this after each test so a failing
-    test cannot strand segments for the rest of the session.
+    test cannot strand segments for the tests after it.  ``pid``
+    limits the sweep to segments that process created — the transport
+    reaps a killed agent's in-flight blobs this way.
     """
+    prefix = SEGMENT_PREFIX if pid is None else f"{SEGMENT_PREFIX}{pid}-"
     reaped = []
     for name in list_orphans():
+        if not name.startswith(prefix):
+            continue
         try:
             seg = _attach_segment(name)
         except FileNotFoundError:  # pragma: no cover - raced another reaper

@@ -7,54 +7,64 @@ batched RPCs between them.  Two implementations:
 
 * :class:`LocalTransport` — every agent is an in-process engine and a
   batch RPC is an in-process mailbox hand-off (the DESIGN.md
-  substitution).  Serial, deterministic, zero serialization cost; the
-  default, and the reference the equivalence tests compare against.
+  substitution).  The coordinator drives it window by window; serial,
+  deterministic, zero serialization cost.  It is the default, the
+  reference the equivalence tests compare against, and the only
+  transport that supports live migration.
 * :class:`ProcessTransport` — every agent runs in its own
-  ``multiprocessing`` worker; window commands fan out to all workers
-  before any reply is collected, so agents execute their lookahead
-  batches concurrently without sharing a GIL.
+  ``multiprocessing`` worker and the agents drive the §4.2 window loop
+  themselves over shared memory, so the coordinator is off the
+  per-window path.
 
-The ProcessTransport window protocol is *pipelined* (PR 8):
+The ProcessTransport protocol.  The coordinator creates every segment
+(:mod:`repro.cluster.shm`): one :class:`~repro.cluster.shm.ControlBlock`
+of int64 words, one single-writer record ring per ordered agent pair,
+and one inbox ring per agent.  It then sends each agent one ``epoch``
+command; within the epoch every agent loops:
 
-* **Async accepts.**  Cross-agent batches are fire-and-forget commands —
-  the pipe's FIFO ordering guarantees a worker installs ``accept`` for
-  window N before it sees the ``window N+1`` command, so the coordinator
-  never blocks on a delivery round-trip.  Worker-side errors are
-  deferred to the next replying command.
-* **Peek piggybacking.**  Every ``window`` reply carries the agent's
-  next ``peek_next_window``; the coordinator caches it and updates the
-  cache itself when it forwards deliveries (arrival window ``t // L``,
-  exact under the lookahead discipline), so the per-window peek round
-  disappears in steady state.
-* **Shared-memory framing** (``shm=True`` / ``REPRO_TRANSPORT_SHM=1``).
-  Outboxes and accept batches move as struct-packed int64 column slices
-  through per-worker double-buffered :class:`~repro.cluster.shm.ShmRing`
-  segments — the pipe carries only ``("shm", seq)`` references, with
-  ack-by-sequence slot reuse inferred from the command protocol.
-  Checkpoint payloads travel as one-off blob segments holding a
-  pickle-protocol-5 out-of-band container (raw column buffers, no
-  pickling of array data).  Anything that does not fit a slot falls back
-  to the pickled pipe path, counted as ``transport.shm_fallbacks``.
-* **CPU pinning** (``pin_cpus=True`` / ``REPRO_PIN_CPUS=1``).  Each
-  worker pins itself to core ``agent_id % cpu_count`` at startup
-  (PARSIR-style contention-free placement); a no-op where
-  ``sched_setaffinity`` is unavailable.
+1. **Agree.**  Contribute its next window (``peek_next_window``) to the
+   control block's min-reduction barrier; the minimum is the window the
+   whole cluster runs (conservative synchronization, §4.2).  With
+   ``batch_windows > 1`` a second reduction over the agents' quiet
+   horizons may stretch the round into a barrier-free span.
+2. **Run** the window and frame each peer's outbox straight into the
+   ring it writes for that peer — one frame per window per channel,
+   empty or not, so frame sequence numbers count windows.
+3. **FINISH barrier.**  Publish the value for the next agreement — its
+   own next window lowered by the arrival windows ``t // L`` of the
+   records it just sent (exact under the lookahead discipline) — then
+   bump its sequence word and wait until every peer's word caught up:
+   a bounded yield-spin, then short sleeps.  The barrier *is* the next
+   round's agreement, so a window costs one barrier.
+4. **Accept** the peers' frames in source order, so each destination
+   installs its records in ``(src, chan_seq)`` order exactly as the
+   coordinator-driven loop delivers them.
 
-Both transports route every batch through a lazily-created
-:class:`~repro.cluster.channel.RpcChannel` (one per directed pair that
-actually communicates), so the traffic accounting — records, bytes,
-FINISH signals — is identical whichever transport runs the agents, and
-every drained batch carries the channel's monotone sequence number that
-the receiving worker's :class:`~repro.cluster.shm.ChannelSequencer`
-verifies.
+Passing barrier ``g`` proves every peer consumed the frames of round
+``g - 2``, so a writer never needs more than two slots and never an ack
+message.  An epoch ends only at a control point the coordinator owns:
+a ``checkpoint_every`` boundary, a ``FaultPlan`` window, the duration
+cut or the end of the run.  Each agent then replies with its window
+cursor, the agreed next window, its per-channel RPC counts (merged into
+the same :class:`~repro.cluster.channel.ClusterTrafficStats` the
+LocalTransport keeps) and its own measured busy and barrier-wait
+seconds.
 
-The transport is also the fault boundary: :meth:`Transport.kill` is the
+The control block's **abort word** bounds failure: when an agent's
+pipe reaches EOF mid-epoch (the process died) or it reports an error,
+the coordinator raises the word, every spin loop sees it, and the
+survivors return to their command loop.  The coordinator also owns
+build, checkpoint (snapshot payloads travel as one-off blob segments),
+kill/restore and finalize; a respawned agent gets a fresh inbox and the
+whole ring mesh is re-minted, so no frame of a dead incarnation is ever
+read.  CPU pinning (``pin_cpus=True`` / ``REPRO_PIN_CPUS=1``) places
+agent *a* on core ``a % cpu_count`` (PARSIR-style).
+
+The transport is the fault boundary: :meth:`Transport.kill` is the
 fault-injection hook (worker process terminated / in-process engine
 discarded), failures surface as :class:`AgentFailure`, and
 :meth:`Transport.restore` rebuilds a dead agent from a checkpoint
-payload — the runtime layers replay and catch-up on top.  A respawned
-worker gets *fresh* shared segments (the old ones are unlinked), so a
-half-written frame from the killed incarnation can never be replayed.
+payload — the runtime layers replay and catch-up on top.
 """
 
 from __future__ import annotations
@@ -62,23 +72,25 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
-import struct
+import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_connections
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .agent import AgentEngine, AgentSpec, spec_of
-from .channel import ChannelMap, ClusterTrafficStats
+from .channel import (
+    ChannelMap, ClusterTrafficStats, RPC_FRAME_BYTES, RPC_RECORD_BYTES,
+)
 from .shm import (
-    KIND_OUTBOX, KIND_SECTIONS, RECORD_BYTES, ChannelSequencer, RingFull,
-    Section, ShmRing, outbox_record_count, pack_records, read_blob,
-    unpack_outbox, unpack_sections, write_blob,
+    NO_WINDOW, RECORD_BYTES, ControlBlock, EpochAborted, ShmRing,
+    read_blob, read_records, reap_orphans, write_blob, write_records,
 )
 from ..core.checkpoint import (
     restore_snapshot, state_oob_parts, take_checkpoint,
 )
 from ..core.instrument import SystemProfile, WindowProfile
+from ..core.telemetry import WAIT_MS_BUCKETS
 from ..errors import ClusterError
 from ..metrics import SimResults
 from ..protocols.packet import Row
@@ -86,16 +98,11 @@ from ..protocols.packet import Row
 #: One remote delivery: (arrival_time_ps, node, row).
 Record = Tuple[int, int, Row]
 
-#: Test hook for the watchdog drill: when set, called as
-#: ``stall_injector(agent_id, window)`` just before a LocalTransport
-#: agent executes a window — a test makes it sleep for a chosen agent to
-#: simulate a stalled machine and assert the watchdog flags it.  Always
-#: ``None`` in production.
+#: Test hook for the watchdog and crash drills: when set, called as
+#: ``stall_injector(agent_id, window)`` just before an agent executes a
+#: window — in-process under the LocalTransport, inside the (forked)
+#: worker under the ProcessTransport.  Always ``None`` in production.
 stall_injector = None
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "") not in ("", "0", "false", "off")
 
 
 class AgentFailure(ClusterError):
@@ -123,17 +130,49 @@ class AgentReport:
     spans: List[tuple] = None  # type: ignore[assignment]
     metrics: Dict[str, Any] = None  # type: ignore[assignment]
     epoch_wall: float = 0.0
+    #: Seconds this agent spent running windows / waiting at barriers,
+    #: measured by the agent itself (process transport; 0 in-process).
+    busy_s: float = 0.0
+    barrier_wait_s: float = 0.0
+
+
+@dataclass
+class EpochReply:
+    """One agent's account of an epoch (:meth:`ProcessTransport.run_windows_all`)."""
+
+    #: Last window the cluster completed, and the agreed next one
+    #: (``None``: nothing left anywhere).
+    cursor: int
+    next_window: Optional[int]
+    #: FINISH barriers passed — one per window or batched span.
+    rounds: int
+    spans: int = 0
+    batched_windows: int = 0
+    #: Per destination agent: (messages, records, bytes) this agent sent.
+    channels: Dict[int, Tuple[int, int, int]] = field(default_factory=dict)
+    busy_s: float = 0.0
+    wait_s: float = 0.0
+    #: ``(window, busy seconds)`` per round, when the coordinator asked
+    #: for per-window timing (watchdog armed / telemetry on).
+    times: Optional[List[Tuple[int, float]]] = None
 
 
 class Transport:
     """Base transport: channel accounting shared by every implementation.
 
-    Subclasses implement agent hosting (``launch`` / ``build_all`` /
-    ``peek_all`` / ``run_window`` / ``run_window_all`` / ``accept`` /
-    ``snapshot_all`` / ``kill`` / ``restore`` / ``finish_all`` /
-    ``close``); batch accounting, delivery and the FINISH barrier live
-    here.
+    Every transport hosts agents (``launch`` / ``build_all`` /
+    ``accept`` / ``snapshot_all`` / ``kill`` / ``alive`` / ``restore``
+    / ``finish_all`` / ``close``) and ends a run with the same
+    :class:`ClusterTrafficStats`.  How windows execute differs:
+    ``agent_driven`` transports run whole epochs per
+    ``run_windows_all`` call, the others are driven window by window by
+    the coordinator (``peek_all`` / ``run_window_all`` / ``send_batch``
+    / ``deliver_pending`` / ``barrier``, plus ``quiet_all`` and a
+    ``run_windows_all`` restricted to spans proven quiet).
     """
+
+    #: Whether the agents run the §4.2 loop themselves (epoch calls).
+    agent_driven = False
 
     def __init__(self) -> None:
         self.specs: List[AgentSpec] = []
@@ -142,82 +181,28 @@ class Transport:
         #: Cluster bus for transport-level telemetry; the runtime wires
         #: it at build when telemetry is on, else spans stay un-emitted.
         self.bus = None
-        #: Per-agent busy seconds of the most recent ``run_window_all``
-        #: (coordinator-observed; filled only when ``bus`` telemetry is
-        #: on) — the runtime turns these into barrier-wait slices.
+        #: Per-agent busy seconds of the most recent window (or epoch)
+        #: call — the runtime turns these into barrier-wait slices.
         self.window_times: List[float] = []
-        #: Force ``window_times`` measurement even with telemetry off —
-        #: set by the runtime when a cluster watchdog is armed, which
-        #: needs per-agent reply times without paying for span capture.
+        #: Measure ``window_times`` even with telemetry off — set by the
+        #: runtime when a cluster watchdog is armed, which needs
+        #: per-agent busy times without paying for span capture.
         self.track_times = False
 
     def _telemetry(self) -> bool:
         return self.bus is not None and self.bus.telemetry
 
     def _timed(self) -> bool:
-        """Whether ``run_window_all`` should fill ``window_times``."""
+        """Whether window calls should measure per-agent times."""
         return self.track_times or self._telemetry()
 
     def _count(self, name: str, n: int = 1) -> None:
         if self.bus is not None:
             self.bus.count(name, n)
 
-    # --- batched RPCs -----------------------------------------------------
-
     @property
     def num_agents(self) -> int:
         return len(self.specs)
-
-    def send_batch(self, src: int, dst: int, records: List[Record]) -> None:
-        """Account and enqueue one window batch (nothing for empty)."""
-        if records:
-            if self._telemetry():
-                with self.bus.span("send", "transport", src=src, dst=dst,
-                                   records=len(records)):
-                    self.channels[src, dst].send_batch(records)
-            else:
-                self.channels[src, dst].send_batch(records)
-
-    def deliver_pending(self) -> Dict[int, List[Record]]:
-        """Drain every channel into its destination agent; returns what
-        each destination received (the runtime's replay log feeds on
-        this).
-
-        Channels drain in ``(src, dst)`` order and each destination gets
-        *one* hand-off per window — its per-channel batches concatenated
-        in source order as sequenced sections — so a ProcessTransport
-        pays one command per destination instead of one per channel,
-        and the per-destination record order is the deterministic one
-        the equivalence tests pin down.
-        """
-        staged: Dict[int, List[Section]] = {}
-        for (src, dst), channel in self.channels.sorted_items():
-            records, seq = channel.drain_with_seq()
-            if records:
-                staged.setdefault(dst, []).append((src, seq, records))
-        delivered: Dict[int, List[Record]] = {}
-        for dst in sorted(staged):
-            sections = staged[dst]
-            records = [record for _src, _seq, recs in sections
-                       for record in recs]
-            if self._telemetry():
-                # The serialize + hand-off of one destination's batches:
-                # in-process it is a mailbox append; across a
-                # ProcessTransport it is the shm frame write (or the
-                # pickled-pipe fallback).
-                with self.bus.span("serialize", "transport", dst=dst,
-                                   records=len(records)):
-                    self.accept_sections(dst, sections, records)
-            else:
-                self.accept_sections(dst, sections, records)
-            delivered[dst] = records
-        return delivered
-
-    def barrier(self) -> None:
-        """End-of-window FINISH barrier: everyone tells everyone (§4.2)."""
-        n = self.num_agents
-        self.stats.finish_signals += n * (n - 1)
-        self.stats.windows += 1
 
     def finalize_stats(self) -> ClusterTrafficStats:
         """Aggregate the per-channel accounting into the run totals."""
@@ -239,40 +224,8 @@ class Transport:
     def build_all(self) -> None:
         raise NotImplementedError
 
-    def peek_all(self, current: int) -> List[Optional[int]]:
-        raise NotImplementedError
-
-    def run_window(self, agent_id: int, window: int) -> Dict[int, List[Record]]:
-        raise NotImplementedError
-
-    def run_window_all(
-        self, window: int, active: Optional[Sequence[bool]] = None
-    ) -> List[Union[Dict[int, List[Record]], AgentFailure]]:
-        """Run the window on every agent.  ``active[i] is False`` marks
-        an agent the coordinator's peeks prove has nothing scheduled —
-        it is skipped (empty outbox) without a command round-trip."""
-        raise NotImplementedError
-
-    def quiet_all(self, current: int, limit: int) -> List[int]:
-        """Every agent's :meth:`AgentEngine.remote_quiet_horizon` — the
-        batcher takes the minimum before committing to a barrier-free
-        span."""
-        raise NotImplementedError
-
-    def run_windows_all(
-        self, current: int, end_window: int
-    ) -> List[Tuple[int, Dict[int, List[Record]]]]:
-        """Batched span: every agent runs its scheduled windows in
-        ``(current, end_window)`` without intermediate barriers."""
-        raise NotImplementedError
-
-    def accept_sections(self, agent_id: int, sections: List[Section],
-                        records: List[Record]) -> None:
-        """Deliver one destination's drained batches (``records`` is the
-        concatenation of the sections' record lists, in section order)."""
-        self.accept(agent_id, records)
-
     def accept(self, agent_id: int, records: List[Record]) -> None:
+        """Administrative delivery straight into one agent's calendar."""
         raise NotImplementedError
 
     def snapshot_all(self, window: int) -> List[bytes]:
@@ -294,7 +247,8 @@ class Transport:
         raise NotImplementedError
 
 
-def _report_of(engine: AgentEngine) -> AgentReport:
+def _report_of(engine: AgentEngine, busy_s: float = 0.0,
+               wait_s: float = 0.0) -> AgentReport:
     bus = engine.bus
     return AgentReport(
         agent_id=engine.agent_id,
@@ -305,6 +259,8 @@ def _report_of(engine: AgentEngine) -> AgentReport:
         spans=list(bus.spans),
         metrics=bus.metrics.snapshot() if bus.metrics else {},
         epoch_wall=bus.epoch_wall,
+        busy_s=busy_s,
+        barrier_wait_s=wait_s,
     )
 
 
@@ -355,18 +311,16 @@ class LocalTransport(Transport):
             stall_injector(agent_id, window)
         return self._engine(agent_id, window).run_window(window)
 
-    def run_window_all(self, window: int,
-                       active: Optional[Sequence[bool]] = None):
+    def run_window_all(
+        self, window: int,
+    ) -> List[Union[Dict[int, List[Record]], AgentFailure]]:
+        """Run the window on every agent (an agent with nothing
+        scheduled in it returns an empty outbox without running)."""
         out: List[Union[Dict[int, List[Record]], AgentFailure]] = []
         timed = self._timed()
         if timed:
             self.window_times = []
         for agent_id in range(len(self.engines)):
-            if active is not None and not active[agent_id]:
-                out.append({})
-                if timed:
-                    self.window_times.append(0.0)
-                continue
             t0 = time.perf_counter() if timed else 0.0
             try:
                 out.append(self.run_window(agent_id, window))
@@ -379,10 +333,18 @@ class LocalTransport(Transport):
         return out
 
     def quiet_all(self, current: int, limit: int) -> List[int]:
+        """Every agent's :meth:`AgentEngine.remote_quiet_horizon` — the
+        batcher takes the minimum before committing to a barrier-free
+        span."""
         return [self._engine(a).remote_quiet_horizon(current, limit)
                 for a in range(len(self.engines))]
 
-    def run_windows_all(self, current: int, end_window: int):
+    def run_windows_all(
+        self, current: int, end_window: int
+    ) -> List[Tuple[int, Dict[int, List[Record]]]]:
+        """Batched span: every agent runs its scheduled windows in
+        ``(current, end_window)`` without intermediate barriers (the
+        caller proved the span quiet)."""
         out: List[Tuple[int, Dict[int, List[Record]]]] = []
         timed = self._timed()
         if timed:
@@ -394,6 +356,51 @@ class LocalTransport(Transport):
             if timed:
                 self.window_times.append(time.perf_counter() - t0)
         return out
+
+    # --- coordinator-side batch flow ----------------------------------------
+
+    def send_batch(self, src: int, dst: int, records: List[Record]) -> None:
+        """Account and enqueue one window batch (nothing for empty)."""
+        if records:
+            if self._telemetry():
+                with self.bus.span("send", "transport", src=src, dst=dst,
+                                   records=len(records)):
+                    self.channels[src, dst].send_batch(records)
+            else:
+                self.channels[src, dst].send_batch(records)
+
+    def deliver_pending(self) -> Dict[int, List[Record]]:
+        """Drain every channel into its destination agent; returns what
+        each destination received (the runtime's replay log feeds on
+        this).
+
+        Channels drain in ``(src, dst)`` order and each destination gets
+        *one* hand-off per window — its per-channel batches concatenated
+        in source order, the deterministic record order the equivalence
+        tests pin down.
+        """
+        delivered: Dict[int, List[Record]] = {}
+        for (_src, dst), channel in self.channels.sorted_items():
+            records = channel.drain()
+            if records:
+                delivered.setdefault(dst, []).extend(records)
+        for dst in sorted(delivered):
+            records = delivered[dst]
+            if self._telemetry():
+                with self.bus.span("serialize", "transport", dst=dst,
+                                   records=len(records)):
+                    self.accept(dst, records)
+            else:
+                self.accept(dst, records)
+        return delivered
+
+    def barrier(self) -> None:
+        """End-of-window FINISH barrier: everyone tells everyone (§4.2)."""
+        n = self.num_agents
+        self.stats.finish_signals += n * (n - 1)
+        self.stats.windows += 1
+
+    # --- hosting ------------------------------------------------------------
 
     def accept(self, agent_id: int, records: List[Record]) -> None:
         self._engine(agent_id).accept_remote(records)
@@ -430,161 +437,246 @@ class LocalTransport(Transport):
         pass
 
 
-# --- process transport ----------------------------------------------------
+# --- process transport: the worker side ---------------------------------------
 
-def _sections_size(sections: Sequence[Section], n_records: int) -> int:
-    return 8 + 24 * len(sections) + n_records * RECORD_BYTES
+class _AgentLoop:
+    """One worker's half of the agent-driven protocol (see module doc)."""
+
+    def __init__(self, engine: AgentEngine, ctl: ControlBlock) -> None:
+        self.engine = engine
+        self.ctl = ctl
+        self.me = engine.agent_id
+        self.peers = [a for a in range(ctl.n_agents) if a != self.me]
+        self.out_rings: Dict[int, ShmRing] = {}
+        self.in_rings: Dict[int, ShmRing] = {}
+        #: Run totals for the AgentReport.
+        self.busy_s = 0.0
+        self.wait_s = 0.0
+
+    def attach_mesh(self, mesh: Sequence[Optional[str]]) -> None:
+        """Adopt a freshly minted ring mesh (``mesh[src * n + dst]``)."""
+        self.close_mesh()
+        n, me = self.ctl.n_agents, self.me
+        for peer in self.peers:
+            self.out_rings[peer] = ShmRing.attach(mesh[me * n + peer])
+            self.in_rings[peer] = ShmRing.attach(mesh[peer * n + me])
+
+    def close_mesh(self) -> None:
+        for ring in (*self.out_rings.values(), *self.in_rings.values()):
+            ring.close()
+        self.out_rings = {}
+        self.in_rings = {}
+
+    def run_epoch(self, cursor: int, end_window: Optional[int],
+                  max_windows: Optional[int], batch: int,
+                  timed: bool) -> EpochReply:
+        engine = self.engine
+        ctl = self.ctl
+        ctl.bind(self.me)
+        bus = engine.bus
+        telemetry = bus.telemetry
+        perf = time.perf_counter
+        L = engine.lookahead
+        duration = engine.scenario.duration_ps
+        # Every bound below is identical on every agent, and so is every
+        # barrier result: all agents take the same branches in lockstep.
+        dur_last = duration // L if duration is not None else NO_WINDOW - 1
+        last = dur_last if end_window is None else min(dur_last,
+                                                       end_window - 1)
+        budget = NO_WINDOW if max_windows is None else max_windows
+        peers = self.peers
+        out_rings = self.out_rings
+        in_rings = self.in_rings
+        blob_tag = f"{self.me}-frame"
+        channels: Dict[int, List[int]] = {}
+        times: Optional[List[Tuple[int, float]]] = [] if timed else None
+        rounds = spans = batched = 0
+        frames = frame_records = fallbacks = records_in = 0
+        busy = wait = 0.0
+        window = NO_WINDOW
+        t_epoch = perf()
+        try:
+            nxt = engine.peek_next_window(cursor)
+            window, waited = ctl.allmin(NO_WINDOW if nxt is None else nxt)
+            wait += waited
+            while window <= last and rounds < budget:
+                t0 = perf()
+                round_wait = 0.0
+                if stall_injector is not None:
+                    stall_injector(self.me, window)
+                horizon = 0
+                if batch > 1:
+                    limit = min(window + batch, dur_last + 1)
+                    if limit > window + 1:
+                        horizon, waited = ctl.allmin(
+                            engine.remote_quiet_horizon(cursor, limit))
+                        round_wait += waited
+                ran = window
+                span = horizon > window + 1
+                if span:
+                    # Barrier-free span: the quiet horizons prove no
+                    # cross-agent record can appear before ``horizon``.
+                    _last, out = engine.run_windows(cursor, horizon)
+                    if out:
+                        raise ClusterError(
+                            f"agent {self.me} emitted cross-agent records "
+                            f"inside a quiet span [{window}, {horizon})")
+                    spans += 1
+                    batched += horizon - window
+                    cursor = horizon - 1
+                    nxt = engine.peek_next_window(cursor)
+                    vote = NO_WINDOW if nxt is None else nxt
+                else:
+                    out = engine.run_window(window)
+                    nxt = engine.peek_next_window(window)
+                    vote = NO_WINDOW if nxt is None else nxt
+                    for dst in peers:
+                        ring = out_rings[dst]
+                        # Barrier g proves round g - 2 was consumed: at
+                        # most the previous frame is still unread.
+                        ring.mark_consumed(ring.next_seq - 2)
+                        records = out.get(dst)
+                        if records:
+                            n = len(records)
+                            acct = channels.get(dst)
+                            if acct is None:
+                                acct = channels[dst] = [0, 0, 0]
+                            acct[0] += 1
+                            acct[1] += n
+                            acct[2] += RPC_FRAME_BYTES + RPC_RECORD_BYTES * n
+                            frames += 1
+                            frame_records += n
+                            arrival = min(r[0] for r in records) // L
+                            if arrival < vote:
+                                vote = arrival
+                            fallbacks += write_records(ring, records, blob_tag)
+                        else:
+                            write_records(ring, (), blob_tag)
+                    cursor = window
+                t_wait = bus.now() if telemetry else 0.0
+                window, waited = ctl.allmin(vote)  # FINISH barrier
+                round_wait += waited
+                if telemetry:
+                    bus.metrics.record("cluster.barrier_wait_ms",
+                                       waited * 1e3, WAIT_MS_BUCKETS)
+                    if waited > 0.0:
+                        bus.span_add("barrier-wait", t_wait, t_wait + waited,
+                                     "cluster", {"window": ran})
+                if not span:
+                    for src in peers:
+                        records = read_records(in_rings[src])
+                        if records:
+                            records_in += len(records)
+                            engine.accept_remote(records)
+                rounds += 1
+                ctl.publish(cursor, rounds)
+                round_busy = perf() - t0 - round_wait
+                busy += round_busy
+                wait += round_wait
+                if times is not None:
+                    times.append((ran, round_busy))
+        except EpochAborted:
+            # A peer died: stand down.  The coordinator discards this
+            # reply and rolls the cluster back (or fails the run).
+            busy = max(0.0, perf() - t_epoch - wait)
+        self.busy_s += busy
+        self.wait_s += wait
+        if frames:
+            bus.count("transport.shm_frames", frames)
+            bus.count("transport.shm_bytes", frame_records * RECORD_BYTES)
+        if fallbacks:
+            bus.count("transport.shm_fallbacks", fallbacks)
+        if records_in:
+            bus.count("transport.records_in", records_in)
+        return EpochReply(
+            cursor=cursor,
+            next_window=None if window >= NO_WINDOW else window,
+            rounds=rounds, spans=spans, batched_windows=batched,
+            channels={dst: tuple(acct) for dst, acct in channels.items()},
+            busy_s=busy, wait_s=wait, times=times,
+        )
 
 
-def _outbox_size(outbox: Dict[int, List[Record]], n_records: int) -> int:
-    return 8 + 16 * len(outbox) + n_records * RECORD_BYTES
+def _pack_windows(windows: Sequence[WindowProfile]) -> List[tuple]:
+    """Per-window profiles as plain tuples for the finish reply: they
+    are most of its bytes, and tuples of numbers pickle and unpickle
+    several times faster than dataclass instances."""
+    return [(w.index, w.start_ps,
+             [(name, p.items, p.tasks, p.elapsed_s)
+              for name, p in w.systems.items()])
+            for w in windows]
 
 
-def _decode_sections(ref, ring_in: Optional[ShmRing]) -> List[Section]:
-    if ref[0] == "shm":
-        _kind, _count, view = ring_in.read_frame(ref[1])
-        return unpack_sections(view)
-    return ref[1]
+def _unpack_windows(rows: Sequence[tuple]) -> List[WindowProfile]:
+    return [WindowProfile(index, start_ps,
+                          {name: SystemProfile(items, tasks, elapsed)
+                           for name, items, tasks, elapsed in systems})
+            for index, start_ps, systems in rows]
 
 
-def _encode_outbox(outbox: Dict[int, List[Record]],
-                   ring_out: Optional[ShmRing], bus) -> Tuple[Any, int]:
-    """Frame one window's outbox for the reply; returns ``(ref, seq)``
-    where ``seq`` is the shm frame published (0 for pipe fallback)."""
-    if not outbox:
-        return None, 0
-    if ring_out is not None:
-        count = outbox_record_count(outbox)
-        if (_outbox_size(outbox, count) <= ring_out.frame_capacity
-                and ring_out.can_write()):
-            parts = [struct.pack("<q", len(outbox))]
-            for dst in sorted(outbox):
-                records = outbox[dst]
-                parts.append(struct.pack("<qq", dst, len(records)))
-                parts.append(pack_records(records))
-            seq = ring_out.write_frame(KIND_OUTBOX, count, parts)
-            bus.count("transport.shm_frames")
-            return ("shm", seq), seq
-        bus.count("transport.shm_fallbacks")
-    return ("raw", outbox), 0
-
-
-def _agent_worker(conn, spec: AgentSpec,
-                  shm_names: Optional[Tuple[str, str]] = None) -> None:
-    """Command loop of one worker process hosting one agent engine.
-
-    ``accept`` commands carry no reply (the pipe's FIFO order is the
-    happens-before edge the next ``window`` command needs); an error in
-    one is deferred and reported on the next replying command.  Frames
-    this worker wrote into its outbound ring are considered consumed as
-    soon as the next command arrives — the coordinator always decodes a
-    reply's frame before sending anything else to this worker.
-    """
+def _agent_worker(conn, spec: AgentSpec, inbox_name: str,
+                  ctl_name: str) -> None:
+    """Command loop of one worker process hosting one agent engine."""
     import traceback
     if spec.pin_cpu is not None and hasattr(os, "sched_setaffinity"):
         try:
             os.sched_setaffinity(0, {spec.pin_cpu})
         except OSError:  # pragma: no cover - cpu offline / not permitted
             pass
-    ring_in = ring_out = None
-    if shm_names is not None:
-        ring_in = ShmRing.attach(shm_names[0])
-        ring_out = ShmRing.attach(shm_names[1])
+    inbox = ShmRing.attach(inbox_name)
+    ctl = ControlBlock.attach(ctl_name)
     engine = spec.make()
-    sequencer = ChannelSequencer()
-    replied_seq = 0   # newest outbound frame referenced in a sent reply
-    deferred_err: Optional[str] = None
+    loop = _AgentLoop(engine, ctl)
     try:
         while True:
             message = conn.recv()
-            if ring_out is not None and replied_seq:
-                ring_out.mark_consumed(replied_seq)
             command = message[0]
             if command == "exit":
                 conn.send(("ok", None))
                 break
-            if command == "accept":
-                # Fire-and-forget: decode, verify per-channel sequence
-                # monotonicity, install.  No reply.
-                try:
-                    sections = _decode_sections(message[1], ring_in)
-                    records: List[Record] = []
-                    for src, chan_seq, recs in sections:
-                        sequencer.observe(src, chan_seq)
-                        records.extend(recs)
-                    engine.accept_remote(records)
-                    engine.bus.count("transport.records_in", len(records))
-                except Exception:
-                    deferred_err = traceback.format_exc()
-                continue
-            if deferred_err is not None:
-                conn.send(("err", deferred_err))
-                deferred_err = None
-                continue
             try:
+                reply: Any = None
                 if command == "build":
                     if not engine.built:
                         engine.build()
-                    reply: Any = None
-                elif command == "peek":
-                    reply = engine.peek_next_window(message[1])
-                elif command == "window":
-                    out = engine.run_window(message[1])
-                    ref, seq = _encode_outbox(out, ring_out, engine.bus)
-                    if seq:
-                        replied_seq = seq
-                    reply = (ref, engine.peek_next_window(message[1]))
-                elif command == "quiet":
-                    reply = engine.remote_quiet_horizon(message[1], message[2])
-                elif command == "windows":
-                    last, out = engine.run_windows(message[1], message[2])
-                    ref, seq = _encode_outbox(out, ring_out, engine.bus)
-                    if seq:
-                        replied_seq = seq
-                    # The coordinator resumes peeking from the span end.
-                    reply = (last, ref,
-                             engine.peek_next_window(message[2] - 1))
+                elif command == "epoch":
+                    mesh = message[6]
+                    if mesh is not None:
+                        loop.attach_mesh(mesh)
+                    reply = loop.run_epoch(*message[1:6])
+                elif command == "accept":
+                    engine.accept_remote(read_records(inbox))
                 elif command == "snapshot":
-                    if ring_out is not None:
-                        # Zero-copy checkpoint: protocol-5 out-of-band
-                        # container in a one-off blob segment — column
-                        # data is memcpy'd, never pickled.
-                        parts = state_oob_parts(engine, message[1])
-                        name, nbytes = write_blob(
-                            f"{spec.agent_id}-snap", parts)
-                        reply = ("seg", name, nbytes)
-                    else:
-                        reply = ("raw",
-                                 take_checkpoint(engine, message[1]).payload)
+                    # Protocol-5 out-of-band container in a one-off blob
+                    # segment: column data is memcpy'd, never pickled.
+                    parts = state_oob_parts(engine, message[1])
+                    reply = write_blob(f"{spec.agent_id}-snap", parts)
                 elif command == "restore":
                     if not engine.built:
                         engine.build()
-                    ref, window = message[1], message[2]
-                    if ref[0] == "seg":
-                        payload = read_blob(ref[1], ref[2])
-                    else:
-                        payload = ref[1]
-                    restore_snapshot(engine, payload, window,
+                    _cmd, name, nbytes, window = message
+                    restore_snapshot(engine, read_blob(name, nbytes), window,
                                      spec.scenario.name)
-                    sequencer = ChannelSequencer()
-                    reply = None
                 elif command == "finish":
                     engine.finish()
-                    reply = _report_of(engine)
+                    reply = _report_of(engine, loop.busy_s, loop.wait_s)
+                    reply.windows = _pack_windows(reply.windows)
                 else:
-                    conn.send(("err", f"unknown command {command!r}"))
-                    continue
+                    raise ClusterError(f"unknown command {command!r}")
                 conn.send(("ok", reply))
             except Exception:
+                ctl.abort()  # peers must not wait on us at a barrier
                 conn.send(("err", traceback.format_exc()))
     except (EOFError, OSError, KeyboardInterrupt):
         pass
     finally:
-        for ring in (ring_in, ring_out):
-            if ring is not None:
-                ring.close()
+        loop.close_mesh()
+        inbox.close()
+        ctl.close()
         conn.close()
 
+
+# --- process transport: the coordinator side ----------------------------------
 
 @dataclass
 class _Worker:
@@ -592,15 +684,11 @@ class _Worker:
 
     process: Any
     conn: Any
+    #: coordinator -> worker ring (administrative record frames).
+    inbox: Optional[ShmRing] = None
     alive: bool = True
-    #: worker -> coordinator ring (we read outbox frames from it).
-    ring_in: Optional[ShmRing] = None
-    #: coordinator -> worker ring (we write accept frames into it).
-    ring_out: Optional[ShmRing] = None
-    #: For each replying command in flight: the newest ``ring_out`` seq
-    #: written before it was sent.  Its reply proves (pipe FIFO) the
-    #: worker consumed every accept frame up to that seq.
-    inflight: deque = field(default_factory=deque)
+    #: Generation of the ring mesh this worker has attached.
+    mesh_gen: int = 0
 
 
 def _fork_or_spawn() -> multiprocessing.context.BaseContext:
@@ -610,36 +698,35 @@ def _fork_or_spawn() -> multiprocessing.context.BaseContext:
 
 
 class ProcessTransport(Transport):
-    """One worker process per agent: real parallelism across cores.
+    """One worker process per agent, agents driving the window loop.
 
-    Commands that apply to every agent (``build``, ``window``,
-    ``snapshot``) are *fanned out* — all sends first, then all receives —
-    so the workers overlap their lookahead batches; the reply collection
-    is the implicit per-window barrier.  See the module doc for the
-    pipelined protocol (async accepts, peek piggybacking, shared-memory
-    framing, CPU pinning).  A worker that dies (killed by fault
-    injection or crashed) surfaces as :class:`AgentFailure`;
-    :meth:`restore` respawns it — with fresh shared segments — and loads
-    the checkpoint payload.
+    :meth:`run_windows_all` is the only per-run hot call: one command
+    per agent per epoch (see the module doc for the shared-memory
+    protocol).  A worker that dies surfaces as :class:`AgentFailure`;
+    :meth:`restore` respawns it and loads the checkpoint payload.
     """
 
-    def __init__(self, shm: Optional[bool] = None,
-                 pin_cpus: Optional[bool] = None,
+    agent_driven = True
+
+    def __init__(self, pin_cpus: Optional[bool] = None,
                  slot_bytes: Optional[int] = None,
                  slots: Optional[int] = None) -> None:
         super().__init__()
         self._ctx = _fork_or_spawn()
         self._workers: List[_Worker] = []
-        self.shm = _env_flag("REPRO_TRANSPORT_SHM") if shm is None else bool(shm)
-        self.pin_cpus = (_env_flag("REPRO_PIN_CPUS") if pin_cpus is None
-                         else bool(pin_cpus))
+        self.pin_cpus = (os.environ.get("REPRO_PIN_CPUS", "")
+                         not in ("", "0", "false", "off")
+                         if pin_cpus is None else bool(pin_cpus))
         self._slot_bytes = slot_bytes
         self._slots = slots
-        self._lookahead = 0
-        #: Piggybacked peek cache: ``_peek_ok[i]`` marks ``_peeks[i]`` as
-        #: exact (refreshed by window replies, lowered by deliveries).
-        self._peeks: List[Optional[int]] = []
-        self._peek_ok: List[bool] = []
+        self.ctl: Optional[ControlBlock] = None
+        #: Ring mesh: ``mesh[src * n + dst]`` carries src -> dst frames.
+        self.mesh: List[Optional[ShmRing]] = []
+        self._mesh_gen = 0
+        #: Guards the epoch flag and the window total together, so a
+        #: concurrent :meth:`progress` never double-counts or dips.
+        self._progress_lock = threading.Lock()
+        self._in_epoch = False
 
     def launch(self, specs: Sequence[AgentSpec]) -> None:
         self.specs = list(specs)
@@ -649,51 +736,66 @@ class ProcessTransport(Transport):
                 dataclasses.replace(spec, pin_cpu=spec.agent_id % ncpu)
                 for spec in self.specs
             ]
-        self._lookahead = self.specs[0].scenario.lookahead_ps
+        self.ctl = ControlBlock.create("ctl", len(self.specs))
+        self._new_mesh()
         self._workers = [self._spawn(spec) for spec in self.specs]
-        self._peeks = [None] * len(self.specs)
-        self._peek_ok = [False] * len(self.specs)
 
     def _spawn(self, spec: AgentSpec) -> _Worker:
-        ring_out = ring_in = None
-        names = None
-        if self.shm:
-            ring_out = ShmRing.create(f"{spec.agent_id}-c2w",
-                                      self._slot_bytes, self._slots)
-            ring_in = ShmRing.create(f"{spec.agent_id}-w2c",
-                                     self._slot_bytes, self._slots)
-            names = (ring_out.name, ring_in.name)
+        inbox = ShmRing.create(f"{spec.agent_id}-inbox",
+                               self._slot_bytes, self._slots)
         parent, child = self._ctx.Pipe()
         process = self._ctx.Process(
-            target=_agent_worker, args=(child, spec, names), daemon=True,
-            name=f"dons-agent-{spec.agent_id}",
+            target=_agent_worker, args=(child, spec, inbox.name,
+                                        self.ctl.name),
+            daemon=True, name=f"dons-agent-{spec.agent_id}",
         )
         process.start()
         child.close()
-        return _Worker(process, parent, ring_in=ring_in, ring_out=ring_out)
+        return _Worker(process, parent, inbox=inbox)
 
-    @staticmethod
-    def _teardown_rings(worker: _Worker) -> None:
-        for ring in (worker.ring_in, worker.ring_out):
+    def _new_mesh(self) -> None:
+        """Mint a fresh ring per ordered agent pair (and drop the old
+        ones: attached peers keep their mappings until they re-attach)."""
+        self._drop_mesh()
+        n = len(self.specs)
+        self.mesh = [
+            None if src == dst else ShmRing.create(
+                f"{src}to{dst}", self._slot_bytes, self._slots)
+            for src in range(n) for dst in range(n)
+        ]
+        self._mesh_gen += 1
+
+    def _drop_mesh(self) -> None:
+        for ring in self.mesh:
             if ring is not None:
                 ring.unlink()
                 ring.close()
-        worker.ring_in = worker.ring_out = None
+        self.mesh = []
 
     # --- plumbing ---------------------------------------------------------
 
-    def _send(self, agent_id: int, message: tuple, window: int = -1,
-              expects_reply: bool = True) -> None:
+    def _bury(self, agent_id: int) -> None:
+        """Mark a worker dead; reap its process and any blob segment it
+        had in flight (the rings stay until :meth:`restore`)."""
+        worker = self._workers[agent_id]
+        worker.alive = False
+        try:
+            worker.conn.close()
+        except OSError:  # pragma: no cover
+            pass
+        worker.process.join(timeout=10)
+        if worker.process.pid is not None:
+            reap_orphans(worker.process.pid)
+
+    def _send(self, agent_id: int, message: tuple, window: int = -1) -> None:
         worker = self._workers[agent_id]
         if not worker.alive:
             raise AgentFailure(agent_id, window)
         try:
             worker.conn.send(message)
-        except (OSError, BrokenPipeError):
-            worker.alive = False
+        except OSError:
+            self._bury(agent_id)
             raise AgentFailure(agent_id, window)
-        if expects_reply and worker.ring_out is not None:
-            worker.inflight.append(worker.ring_out.next_seq - 1)
 
     def _recv(self, agent_id: int, window: int = -1) -> Any:
         worker = self._workers[agent_id]
@@ -702,12 +804,8 @@ class ProcessTransport(Transport):
         try:
             status, value = worker.conn.recv()
         except (EOFError, OSError):
-            worker.alive = False
+            self._bury(agent_id)
             raise AgentFailure(agent_id, window)
-        if worker.ring_out is not None and worker.inflight:
-            # Ack-by-sequence: this reply proves the worker processed
-            # every accept frame written before its command went out.
-            worker.ring_out.mark_consumed(worker.inflight.popleft())
         if status == "err":
             raise ClusterError(f"agent {agent_id} worker error:\n{value}")
         return value
@@ -717,219 +815,165 @@ class ProcessTransport(Transport):
         return self._recv(agent_id, window)
 
     def _fan_out(self, message: tuple, window: int = -1) -> List[Any]:
-        """Send to every live worker, then collect every reply — the
-        workers run the command concurrently."""
+        """Send to every worker, then collect every reply — the workers
+        run the command concurrently."""
         for agent_id in range(len(self._workers)):
             self._send(agent_id, message, window)
         return [self._recv(agent_id, window)
                 for agent_id in range(len(self._workers))]
 
-    def _decode_outbox(self, agent_id: int, ref) -> Dict[int, List[Record]]:
-        if ref is None:
-            return {}
-        if ref[0] == "shm":
-            ring = self._workers[agent_id].ring_in
-            if self._telemetry():
-                with self.bus.span("unpack", "transport", src=agent_id):
-                    _kind, count, view = ring.read_frame(ref[1])
-                    out = unpack_outbox(view)
-            else:
-                _kind, count, view = ring.read_frame(ref[1])
-                out = unpack_outbox(view)
-            self._count("transport.shm_frames")
-            self._count("transport.shm_bytes", count * RECORD_BYTES)
-            return out
-        return ref[1]
-
-    def _note_window_reply(self, agent_id: int, peek: Optional[int]) -> None:
-        self._peeks[agent_id] = peek
-        self._peek_ok[agent_id] = True
-
-    def _note_delivery(self, agent_id: int, records: List[Record]) -> None:
-        """Keep the peek cache exact: a delivered record lands in window
-        ``t // L`` (the lookahead discipline guarantees that is in the
-        agent's future, so the engine-side clamp never fires)."""
-        if not records or not self._peek_ok[agent_id]:
-            return
-        arrival = min(t for t, _node, _row in records) // self._lookahead
-        peek = self._peeks[agent_id]
-        if peek is None or arrival < peek:
-            self._peeks[agent_id] = arrival
-
     # --- hosting API ------------------------------------------------------
 
     def build_all(self) -> None:
         self._fan_out(("build",))
-        self._peek_ok = [False] * len(self._workers)
 
-    def peek_all(self, current: int) -> List[Optional[int]]:
-        missing = [a for a in range(len(self._workers))
-                   if not self._peek_ok[a]]
-        for agent_id in missing:
-            self._send(agent_id, ("peek", current), current)
-        for agent_id in missing:
-            self._note_window_reply(agent_id, self._recv(agent_id, current))
-        return list(self._peeks)
-
-    def run_window(self, agent_id: int, window: int) -> Dict[int, List[Record]]:
-        ref, peek = self._call(agent_id, ("window", window), window)
-        self._note_window_reply(agent_id, peek)
-        return self._decode_outbox(agent_id, ref)
-
-    def run_window_all(self, window: int,
-                       active: Optional[Sequence[bool]] = None):
-        results: List[Union[Dict[int, List[Record]], AgentFailure]] = []
-        sent: List[Optional[bool]] = []
+    def run_windows_all(self, current: int, end_window: Optional[int] = None,
+                        max_windows: Optional[int] = None,
+                        batch_windows: int = 1) -> List[EpochReply]:
+        """Run one epoch: every agent loops over the cluster windows
+        after ``current`` — stopping before ``end_window``, after
+        ``max_windows`` rounds or when nothing is left — exchanging
+        records peer to peer.  Merges the agents' channel counts into
+        the traffic stats and returns their replies.  A worker that dies
+        mid-epoch raises the abort word and surfaces as
+        :class:`AgentFailure` once the survivors have stood down.
+        """
+        for agent_id, worker in enumerate(self._workers):
+            if not worker.alive:
+                raise AgentFailure(agent_id, current + 1)
+        ctl = self.ctl
+        ctl.reset()
         timed = self._timed()
-        t_sent = 0.0
-        for agent_id in range(len(self._workers)):
-            if active is not None and not active[agent_id]:
-                sent.append(None)   # provably idle: skip the round-trip
-                continue
+        mesh = tuple(r.name if r is not None else None for r in self.mesh)
+        sent: List[int] = []
+        failed: List[int] = []
+        for agent_id, worker in enumerate(self._workers):
+            stale = worker.mesh_gen != self._mesh_gen
             try:
-                self._send(agent_id, ("window", window), window)
-                sent.append(True)
+                self._send(agent_id, (
+                    "epoch", current, end_window, max_windows,
+                    batch_windows, timed, mesh if stale else None))
             except AgentFailure:
-                sent.append(False)
-        if timed:
-            t_sent = time.perf_counter()
-            self.window_times = []
-        for agent_id in range(len(self._workers)):
-            if sent[agent_id] is None:
-                results.append({})
-                if timed:
-                    self.window_times.append(0.0)
-                continue
-            if not sent[agent_id]:
-                results.append(AgentFailure(agent_id, window))
-                if timed:
-                    self.window_times.append(0.0)
-                continue
-            try:
-                ref, peek = self._recv(agent_id, window)
-                self._note_window_reply(agent_id, peek)
-                results.append(self._decode_outbox(agent_id, ref))
-            except AgentFailure as failure:
-                results.append(failure)
-            if timed:
-                # Reply-arrival time since fan-out: an upper bound on the
-                # agent's busy time (a fast agent's reply can sit in the
-                # pipe while an earlier recv blocks), good enough for the
-                # runtime's barrier-wait split.
-                self.window_times.append(time.perf_counter() - t_sent)
-        return results
+                ctl.abort()
+                failed.append(agent_id)
+                break
+            worker.mesh_gen = self._mesh_gen
+            sent.append(agent_id)
+        replies: List[Optional[EpochReply]] = [None] * len(self._workers)
+        error = None
+        pending = {self._workers[a].conn: a for a in sent}
+        self._in_epoch = True
+        try:
+            while pending:
+                for conn in wait_connections(list(pending)):
+                    agent_id = pending.pop(conn)
+                    try:
+                        replies[agent_id] = self._recv(agent_id, current + 1)
+                    except AgentFailure:
+                        ctl.abort()
+                        failed.append(agent_id)
+                    except ClusterError as exc:
+                        ctl.abort()
+                        error = error or exc
+        finally:
+            with self._progress_lock:
+                self._in_epoch = False
+                if not failed and error is None:
+                    self.stats.windows += replies[0].rounds
+        if failed:
+            survivors = [r for r in replies if r is not None]
+            reached = max((r.cursor for r in survivors), default=current)
+            raise AgentFailure(failed[0], reached + 1)
+        if error is not None:
+            raise error
+        self.window_times = [r.busy_s for r in replies]
+        rounds = replies[0].rounds
+        n = len(self._workers)
+        self.stats.finish_signals += rounds * n * (n - 1)
+        for src, reply in enumerate(replies):
+            for dst, (messages, records, nbytes) in reply.channels.items():
+                channel = self.channels[src, dst]
+                channel.messages += messages
+                channel.records += records
+                channel.bytes_sent += nbytes
+        return replies
 
-    def quiet_all(self, current: int, limit: int) -> List[int]:
-        return self._fan_out(("quiet", current, limit), current)
-
-    def run_windows_all(self, current: int, end_window: int):
-        timed = self._timed()
-        t_sent = 0.0
-        for agent_id in range(len(self._workers)):
-            self._send(agent_id, ("windows", current, end_window), current)
-        if timed:
-            t_sent = time.perf_counter()
-            self.window_times = []
-        out: List[Tuple[int, Dict[int, List[Record]]]] = []
-        for agent_id in range(len(self._workers)):
-            last, ref, peek = self._recv(agent_id, current)
-            self._note_window_reply(agent_id, peek)
-            out.append((last, self._decode_outbox(agent_id, ref)))
-            if timed:
-                self.window_times.append(time.perf_counter() - t_sent)
-        return out
-
-    def accept_sections(self, agent_id: int, sections: List[Section],
-                        records: List[Record]) -> None:
-        worker = self._workers[agent_id]
-        ref = None
-        if worker.ring_out is not None:
-            size = _sections_size(sections, len(records))
-            if (size <= worker.ring_out.frame_capacity
-                    and worker.ring_out.can_write()):
-                parts = [struct.pack("<q", len(sections))]
-                for src, chan_seq, recs in sections:
-                    parts.append(struct.pack(
-                        "<qqq", src, chan_seq, len(recs)))
-                    parts.append(pack_records(recs))
-                try:
-                    seq = worker.ring_out.write_frame(
-                        KIND_SECTIONS, len(records), parts)
-                except RingFull:  # pragma: no cover - raced can_write
-                    seq = None
-                if seq is not None:
-                    ref = ("shm", seq)
-                    self._count("transport.shm_frames")
-                    self._count("transport.shm_bytes",
-                                len(records) * RECORD_BYTES)
-            if ref is None:
-                self._count("transport.shm_fallbacks")
-        if ref is None:
-            ref = ("raw", sections)
-        # Fire-and-forget: the pipe's FIFO order sequences this before
-        # the next window command, so no reply round-trip is needed.
-        self._send(agent_id, ("accept", ref), expects_reply=False)
-        self._note_delivery(agent_id, records)
+    def progress(self) -> Tuple[Optional[int], int]:
+        """``(cursor, windows)``: the window cursor the agents published
+        inside the running epoch (``None`` before its first round or
+        between epochs) and the FINISH barriers passed so far."""
+        with self._progress_lock:
+            if not self._in_epoch:
+                return None, self.stats.windows
+            cursor, rounds = self.ctl.progress()
+            return (cursor if rounds else None), self.stats.windows + rounds
 
     def accept(self, agent_id: int, records: List[Record]) -> None:
-        # Administrative delivery (recovery replay): src -1 bypasses the
-        # per-channel sequence guard — the original batches were already
-        # sequenced when first delivered.
-        self.accept_sections(agent_id, [(-1, 0, records)], records)
+        inbox = self._workers[agent_id].inbox
+        inbox.mark_consumed(inbox.next_seq - 1)  # every call is answered
+        if write_records(inbox, records, "inbox"):
+            self._count("transport.shm_fallbacks")
+        else:
+            self._count("transport.shm_frames")
+            self._count("transport.shm_bytes", len(records) * RECORD_BYTES)
+        self._call(agent_id, ("accept",))
 
     def snapshot_all(self, window: int) -> List[bytes]:
-        refs = self._fan_out(("snapshot", window), window)
         payloads = []
-        for ref in refs:
-            if ref[0] == "seg":
-                payload = read_blob(ref[1], ref[2])
-                self._count("transport.shm_bytes", len(payload))
-            else:
-                payload = ref[1]
-            payloads.append(payload)
+        for name, nbytes in self._fan_out(("snapshot", window), window):
+            payloads.append(read_blob(name, nbytes))
+            self._count("transport.shm_bytes", nbytes)
         return payloads
 
     def kill(self, agent_id: int) -> None:
         """Fault injection: terminate the worker process outright.  Its
-        rings are kept until :meth:`restore` replaces them — a restored
-        incarnation never reads a possibly half-written old frame."""
+        rings are kept until :meth:`restore` replaces them."""
         worker = self._workers[agent_id]
         if worker.process.is_alive():
             worker.process.terminate()
-            worker.process.join(timeout=10)
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        worker.alive = False
+        self._bury(agent_id)
 
     def alive(self, agent_id: int) -> bool:
         return self._workers[agent_id].alive
 
     def restore(self, agent_id: int, payload: bytes, window: int) -> None:
+        """Load a snapshot into an agent; a dead one is first respawned
+        with a fresh inbox, and the ring mesh is re-minted so no frame
+        of its previous incarnation can be read."""
         worker = self._workers[agent_id]
         if not worker.alive:
-            self._teardown_rings(worker)
+            worker.inbox.unlink()
+            worker.inbox.close()
             self._workers[agent_id] = self._spawn(self.specs[agent_id])
             self._call(agent_id, ("build",))
-        if self.shm:
-            name, nbytes = write_blob(f"{agent_id}-restore", [payload])
-            ref = ("seg", name, nbytes)
-        else:
-            ref = ("raw", payload)
-        self._call(agent_id, ("restore", ref, window))
-        self._peek_ok[agent_id] = False
+            self._new_mesh()
+        name, nbytes = write_blob(f"{agent_id}-restore", [payload])
+        self._call(agent_id, ("restore", name, nbytes, window))
 
     def finish_all(self) -> List[AgentReport]:
-        return self._fan_out(("finish",))
+        reports = self._fan_out(("finish",))
+        for report in reports:
+            report.windows = _unpack_windows(report.windows)
+        return reports
 
     def close(self) -> None:
+        if self.ctl is not None:
+            self.ctl.abort()  # an agent still inside an epoch stands down
+        # Fan the exit out first so the workers tear down concurrently.
+        exiting = []
         for agent_id, worker in enumerate(self._workers):
             if worker.alive:
                 try:
-                    self._call(agent_id, ("exit",))
-                except (AgentFailure, ClusterError):
+                    self._send(agent_id, ("exit",))
+                    exiting.append(agent_id)
+                except AgentFailure:
                     pass
+        for agent_id in exiting:
+            try:
+                self._recv(agent_id)
+            except ClusterError:
+                pass
+        for worker in self._workers:
             try:
                 worker.conn.close()
             except OSError:
@@ -937,20 +981,30 @@ class ProcessTransport(Transport):
             worker.process.join(timeout=10)
             if worker.process.is_alive():  # pragma: no cover - stuck worker
                 worker.process.terminate()
-            self._teardown_rings(worker)
+                worker.process.join(timeout=10)
+            if worker.inbox is not None:
+                worker.inbox.unlink()
+                worker.inbox.close()
+                worker.inbox = None
             worker.alive = False
+        self._drop_mesh()
+        if self.ctl is not None:
+            self.ctl.unlink()
+            self.ctl.close()
+            self.ctl = None
 
 
 def make_transport(kind: Union[str, Transport, None]) -> Transport:
-    """Resolve a transport argument: an instance, a name, or ``None``."""
+    """Resolve a transport argument: an instance, a name, or ``None``.
+
+    ``"shm"`` is an alias of ``"process"`` (the process transport always
+    moves its frames through shared memory)."""
     if kind is None:
         return LocalTransport()
     if isinstance(kind, Transport):
         return kind
     if kind == "local":
         return LocalTransport()
-    if kind == "process":
+    if kind in ("process", "shm"):
         return ProcessTransport()
-    if kind == "shm":
-        return ProcessTransport(shm=True)
     raise ClusterError(f"unknown transport {kind!r}")

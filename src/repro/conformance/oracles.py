@@ -23,8 +23,9 @@ users actually run:
   memoization + fast-forwarding forced on (``core/memo.py``); its
   byte-identity against the rest is the fast-forward conformance gate.
 * ``cluster-local-N`` / ``cluster-process-N`` — the cluster runtime over
-  N agents (N in 2/3/4) on the in-process or multiprocessing transport,
-  contiguous partition.
+  N agents (N in 2/3/4) on the in-process or the agent-driven
+  shared-memory process transport, contiguous partition
+  (``cluster-shm-N`` is an alias of ``cluster-process-N``).
 * ``checkpoint`` — run a few windows, snapshot, discard the engine,
   resume a fresh one from the checkpoint (the pause/resume path).
 * ``fault-recovery`` — 2-agent cluster with periodic snapshots and a
@@ -170,28 +171,29 @@ ORACLES: Dict[str, Callable[[Scenario], OracleRun]] = {
 for _n in (2, 3, 4):
     ORACLES[f"cluster-local-{_n}"] = (
         lambda sc, n=_n: run_cluster(sc, "local", n, f"cluster-local-{n}"))
+    # Agents exchanging struct-packed frames through shared-memory rings
+    # and driving the window loop themselves.
     ORACLES[f"cluster-process-{_n}"] = (
         lambda sc, n=_n: run_cluster(sc, "process", n,
                                      f"cluster-process-{n}"))
-    # The zero-copy transport: process workers exchanging batches as
-    # struct-packed frames in shared-memory rings (pickle fallback for
-    # oversize).  Byte-identity against the pickled transports is the
-    # {pickle, shm} x {local, process} acceptance matrix of PR 8.
-    ORACLES[f"cluster-shm-{_n}"] = (
-        lambda sc, n=_n: run_cluster(sc, "shm", n, f"cluster-shm-{n}"))
+
+#: Older oracle names that still resolve (corpus files and CLI flags):
+#: the process transport is the shared-memory transport.
+ORACLE_ALIASES: Dict[str, str] = {
+    f"cluster-shm-{_n}": f"cluster-process-{_n}" for _n in (2, 3, 4)
+}
 
 #: The acceptance set: every stack the fidelity claim covers.  The first
 #: entry is the reference every other trace is diffed against.
 DEFAULT_ORACLES: Tuple[str, ...] = (
     "ood", "dons", "dons-numpy", "dons-numpy-ffwd", "cluster-local-2",
-    "cluster-local-3", "cluster-process-2", "cluster-shm-2",
-    "checkpoint", "fault-recovery",
+    "cluster-local-3", "cluster-process-2", "checkpoint", "fault-recovery",
 )
 
 
 def run_oracle(name: str, scenario: Scenario) -> OracleRun:
     try:
-        oracle = ORACLES[name]
+        oracle = ORACLES[ORACLE_ALIASES.get(name, name)]
     except KeyError:
         raise ReproError(
             f"unknown oracle {name!r}; known: {', '.join(sorted(ORACLES))}"

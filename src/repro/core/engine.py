@@ -340,14 +340,12 @@ class DodEngine:
         The gates keep fast-forwarding inside the closed world the
         signature can encode (see docs/MEMOIZATION.md): the paper
         system order (the naive ablation carries staged packets across
-        windows), local deliveries only (cluster agents clear
-        ``deliveries_local`` — a window with cross-agent traffic must
-        run for real so its outbox fills), no queue sampling (samples
-        are absolute-time pairs), no RED and no packet-mode ECMP (both
-        hash raw sequence numbers, which the per-flow rebase erases),
-        and at least one UDP flow (the per-window probe only ever
-        memoizes pure-UDP windows, so without UDP flows the cache could
-        never hit).
+        windows), no queue sampling (samples are absolute-time pairs),
+        no RED and no packet-mode ECMP (both hash raw sequence numbers,
+        which the per-flow rebase erases), and at least one UDP flow
+        (the per-window probe only ever memoizes pure-UDP windows, so
+        without UDP flows the cache could never hit).  Cluster agents
+        opt out entirely (``AgentEngine._maybe_init_memo``).
         """
         if not self.ffwd or self._memo is not None:
             return
@@ -357,7 +355,6 @@ class DodEngine:
         if has_udp is None:
             has_udp = any(f.transport == Transport.UDP for f in sc.flows)
         if (self.system_order != "paper"
-                or not self.deliveries_local
                 or self.sample_queues
                 or sc.host_egress.aqm.kind == AqmKind.RED
                 or sc.switch_egress.aqm.kind == AqmKind.RED
@@ -385,10 +382,13 @@ class DodEngine:
         """TransmitSystem callback: a packet reaches ``node`` at ``t``."""
         self._insert(t, node, (ENTRY_ARRIVAL, t, PRIO_ARRIVAL, row))
 
-    #: True when every delivery lands in the local event store — the
-    #: fused transmit sweep may then append to the columns directly.
-    #: The cluster AgentEngine clears it (peers can live off-partition).
-    deliveries_local = True
+    def peer_local_column(self) -> List[bool]:
+        """Per egress port: does its peer's arrival land in this engine's
+        event store?  The fused transmit sweep appends local deliveries
+        straight to the columns and routes the rest through
+        :meth:`deliver_emissions`.  Always true on one machine; the
+        cluster AgentEngine marks ports whose peer lives elsewhere."""
+        return [True] * len(self.ports)
 
     def deliver_emissions(self, node: int, delay_ps: int, emissions) -> None:
         """Bulk :meth:`deliver`: one port's window emissions at once.

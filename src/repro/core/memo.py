@@ -209,9 +209,9 @@ class WindowMemoCache:
     gates hold (paper system order, local deliveries, no RED / packet
     spray / queue sampling, at least one UDP flow).  Never persisted:
     checkpoints invalidate it on restore (``core.checkpoint``), and
-    cluster agents never build one (``deliveries_local`` is cleared on
-    ``AgentEngine`` — a window with cross-agent traffic pending must
-    run for real so its outbox fills).
+    cluster agents never build one (``AgentEngine`` opts out — a window
+    with cross-agent traffic pending must run for real so its outbox
+    fills).
     """
 
     def __init__(self, engine) -> None:

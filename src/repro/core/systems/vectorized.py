@@ -821,9 +821,10 @@ def _transmit_serial_np(engine, ctx: WindowContext,
     if static is None or len(static[0]) != len(ports):
         # Topology-fixed per-port metadata, gathered once: scheduler
         # kind, endpoint nodes, link delay/rate, and the inlined AQM
-        # constants (None where the port is not plain DCTCP-threshold).
-        # Dynamic state (sched contents, free_at, EWMA) stays on the
-        # port objects — migration moves those, never these.
+        # constants (None where the port is not plain DCTCP-threshold),
+        # plus whether the peer is local (a cluster agent rebuilds the
+        # tuple when a migration rebinds its partition).  Dynamic state
+        # (sched contents, free_at, EWMA) stays on the port objects.
         static = engine._tx_static = (
             [type(p.sched) is FifoScheduler for p in ports],
             [p.iface.node for p in ports],
@@ -837,9 +838,10 @@ def _transmit_serial_np(engine, ctx: WindowContext,
              for p in ports],
             [p.config.aqm.kind in (AqmKind.ECN_THRESHOLD, AqmKind.NONE)
              for p in ports],
+            engine.peer_local_column(),
         )
     (fifo_of, node_of, peer_of, delay_of, rate_of, shift_of, buf_of,
-     ecn_of, simple_of) = static
+     ecn_of, simple_of, local_of) = static
     staged_get = ctx.staged.get
     bus = engine.bus
     has_ops = bus.has_ops
@@ -847,24 +849,21 @@ def _transmit_serial_np(engine, ctx: WindowContext,
     node_events = engine.results.node_events
     results = engine.results
     sort = transmit_sort  # module attribute: the injectable tie-break
-    # Local deliveries append straight to the event columns; the
-    # cluster's AgentEngine keeps the bulk-method dispatch (its peers
-    # can live on another partition).
-    inline = engine.deliveries_local
-    if inline:
-        events = engine.events
-        buckets = events._buckets
-        reg = events_mod.register_window
-        L = engine.lookahead
-        floor = engine._running_window + 1
-        last_win = None
-        b_nodes = b_payloads = None
-    else:
-        deliver_emissions = engine.deliver_emissions
+    # Deliveries to a local peer append straight to the event columns;
+    # a port whose peer lives on another cluster agent keeps the
+    # bulk-method dispatch, which routes the span to the outbox.
+    events = engine.events
+    buckets = events._buckets
+    reg = events_mod.register_window
+    L = engine.lookahead
+    floor = engine._running_window + 1
+    last_win = None
+    b_nodes = b_payloads = None
+    deliver_emissions = engine.deliver_emissions
     # With local delivery and no conformance bus the FIFO replay
     # helpers take a delivery sink and append dequeues straight to the
     # event columns — no intermediate emission tuples at all.
-    use_sink = inline and not has_ops
+    sink_ok = not has_ops
     count = 0
     emissions: List = []
     drops: List[Tuple[int, Row]] = []
@@ -872,6 +871,8 @@ def _transmit_serial_np(engine, ctx: WindowContext,
         port = ports[iface_id]
         arrivals = staged_get(iface_id)
         fifo = fifo_of[iface_id]
+        inline = local_of[iface_id]
+        use_sink = inline and sink_ok
         n_sunk = 0
         if arrivals is None:
             if port.sched._len > 0 if fifo else len(port.sched) > 0:

@@ -82,18 +82,24 @@ class TestRingLifecycle:
 class TestTransportSegmentTurnover:
     def test_segments_survive_restart_with_fresh_names(
             self, fattree4_scenario):
-        """kill() keeps the dead incarnation's rings (frames referenced
-        by in-flight commands stay valid); restore() tears them down and
-        respawns with fresh segments; close() leaves nothing behind."""
+        """kill() keeps the dead incarnation's rings (its peers may still
+        hold them); restore() tears them down and respawns with a fresh
+        inbox and a freshly minted ring mesh; close() leaves nothing
+        behind."""
         part = contiguous_partition(fattree4_scenario.topology, 2)
         specs = [AgentSpec(a, fattree4_scenario, part, TraceLevel.FULL)
                  for a in range(2)]
-        transport = ProcessTransport(shm=True)
+        transport = ProcessTransport()
         try:
             transport.launch(specs)
             transport.build_all()
-            worker = transport._workers[1]
-            old = {worker.ring_in.name, worker.ring_out.name}
+
+            def agent1_rings():
+                rings = [transport._workers[1].inbox, transport.mesh[1],
+                         transport.mesh[2]]  # inbox, 0 -> 1, 1 -> 0
+                return {ring.name for ring in rings}
+
+            old = agent1_rings()
             assert old <= _live_segments()
             payload = transport.snapshot_all(2)[1]
 
@@ -102,14 +108,15 @@ class TestTransportSegmentTurnover:
                 "kill must keep the stale-valid rings"
 
             transport.restore(1, payload, 2)
-            worker = transport._workers[1]
-            fresh = {worker.ring_in.name, worker.ring_out.name}
+            fresh = agent1_rings()
             assert not (fresh & old), "restore must mint fresh segments"
             assert fresh <= _live_segments()
             assert not (old & _live_segments()), \
                 "restore must unlink the dead incarnation's rings"
-            # The restored worker answers over its new rings.
+            # The restored worker answers over its new segments.
             assert transport.snapshot_all(2)[1] is not None
+            replies = transport.run_windows_all(-1, max_windows=3)
+            assert [r.rounds for r in replies] == [3, 3]
         finally:
             transport.close()
         assert _live_segments() == set()

@@ -1,27 +1,26 @@
-"""Transport stress suite for the zero-copy shared-memory path (PR 8).
+"""Transport stress suite for the shared-memory process transport.
 
 Three escalations, each pinned to the LocalTransport reference:
 
 * **High fan-out** — 4 agents on FatTree4 under dynamic mesh traffic, so
   every directed agent pair exchanges batches every window; the merged
   trace must be byte-identical across {local, shm, process}.
-* **Large batches** — accept batches big enough to exercise *both* shm
-  lanes: 10k records fit one ring slot (the zero-copy path), 12k
-  overflow it (the pickled-pipe fallback).  The snapshots taken after —
-  classic pickle from the LocalTransport, protocol-5 out-of-band
-  container from the shm workers — must restore to engines with equal
+* **Large batches** — administrative deliveries big enough to exercise
+  *both* frame lanes: 10k records fit one ring slot, 12k overflow it
+  into a one-off blob segment.  The snapshots taken after — classic
+  pickle from the LocalTransport, protocol-5 out-of-band container from
+  the process workers — must restore to engines with equal
   ``window_signature()``.
 * **Back-to-back kill/restore** — two faults on the same agent in one
   run, each recovered from shared-memory snapshots, trace-identical to
   the same faults under the LocalTransport.
 
-Plus a hypothesis property: however flushes, deliveries and acks
-interleave (including ring-full pipe fallbacks), same-channel batches
-are never reordered — the per-channel sequence numbers the receiver
-observes are strictly monotone and payloads arrive intact, in order.
+Plus a hypothesis property over the peer-ring protocol: however the
+writer and reader of one channel interleave within the FINISH-barrier
+bounds (including frames that overflow into blob segments), the reader
+gets every window's records intact and in order, and the writer's
+barrier-inferred acks never let it overwrite an unread slot.
 """
-
-from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +30,7 @@ from repro.cluster import (
     ProcessTransport,
 )
 from repro.cluster.shm import (
-    KIND_SECTIONS, ChannelSequencer, ShmRing, pack_sections, unpack_sections,
+    ShmRing, list_orphans, read_records, write_records,
 )
 from repro.core.checkpoint import is_oob_payload, restore_snapshot
 from repro.core.instrument import InstrumentationBus
@@ -77,10 +76,10 @@ def test_high_fanout_shm_byte_identical(scenario):
 
 
 class TestLargeBatches:
-    """>=10k-record deliveries through both shm lanes, snapshot parity."""
+    """>=10k-record deliveries through both frame lanes, snapshot parity."""
 
     #: 10k records = 880 KB: fits the default 1 MiB ring slot (zero-copy
-    #: lane).  12k records = 1.056 MB: overflows it (pipe fallback lane).
+    #: lane).  12k records = 1.056 MB: overflows it (blob-segment lane).
     FITS, OVERFLOWS = 10_000, 12_000
 
     def _records(self, scenario, partition, count, base_window):
@@ -113,8 +112,8 @@ class TestLargeBatches:
         local_payloads, _ = self._fill(scenario, part, specs,
                                        LocalTransport())
         shm_payloads, counters = self._fill(scenario, part, specs,
-                                            ProcessTransport(shm=True))
-        # Both lanes actually ran: one batch framed, one fell back.
+                                            ProcessTransport())
+        # Both lanes actually ran: one batch framed, one overflowed.
         assert counters.get("transport.shm_frames", 0) >= 1
         assert counters.get("transport.shm_fallbacks", 0) >= 1
         # The shm snapshot is the out-of-band container, the local one
@@ -167,65 +166,43 @@ ROW_WIDTH = len(ROW_FIELDS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_randomized_flush_ack_interleavings_keep_channel_order(data):
-    """Property: no interleaving of flushes, deliveries and acks — with
-    the ring saturating into pipe fallbacks — can reorder or drop a
-    channel's batches.  Models the coordinator->worker accept path: a
-    FIFO of commands carrying either a ring frame reference or the raw
-    fallback, a reader that acks by sequence at arbitrary later points,
-    and the receiver-side ChannelSequencer that must never observe a
-    regression."""
-    ring = ShmRing.create("hyp", slot_bytes=1024, n_slots=3)
+    """Property: no interleaving the FINISH barrier allows can reorder,
+    drop or tear a channel's frames.  One writer publishes one frame per
+    window (empty, slot-sized or blob-sized); the barrier lets it run at
+    most one window ahead of the reader, and it infers acks exactly as
+    the agents do (every frame but the newest is consumed).  A two-slot
+    ring is the tightest geometry the protocol admits."""
+    orphans_before = set(list_orphans())
+    ring = ShmRing.create("hyp", slot_bytes=1024, n_slots=2)
     reader = None
     try:
         reader = ShmRing.attach(ring.name)
-        sequencer = ChannelSequencer()
-        pipe = deque()      # the command FIFO: ("shm", seq) | ("raw", sections)
-        unacked = deque()   # ring frames read but not yet acked
-        chan_seq = 0
-        sent = []           # (chan_seq, records) in flush order
-        delivered = []      # (chan_seq, records) in delivery order
-
-        def deliver_next():
-            ref = pipe.popleft()
-            if ref[0] == "shm":
-                kind, _count, view = reader.read_frame(ref[1])
-                assert kind == KIND_SECTIONS
-                sections = unpack_sections(view)
-                unacked.append(ref[1])
-            else:
-                sections = ref[1]
-            for src, seq, records in sections:
-                sequencer.observe(src, seq)  # raises on reorder/replay
-                delivered.append((seq, records))
-
+        sent = []        # records per window, in write order
+        delivered = []   # records per window, in read order
         for _ in range(data.draw(st.integers(10, 80), label="steps")):
-            action = data.draw(
-                st.sampled_from(("flush", "flush", "deliver", "ack")),
-                label="action")
-            if action == "flush":
-                chan_seq += 1
-                n = data.draw(st.integers(1, 3), label="records")
+            # The reader may only read published frames; the writer may
+            # only open window w + 1 once the reader finished w - 1.
+            can_write = len(sent) - len(delivered) < 2
+            can_read = len(delivered) < len(sent)
+            if can_write and (not can_read or data.draw(
+                    st.booleans(), label="write")):
+                window = len(sent) + 1
+                n = data.draw(st.sampled_from((0, 1, 3, 20)),
+                              label="records")
                 records = [
-                    (chan_seq * 1000 + k, k,
-                     tuple((chan_seq + k + f) % 97 for f in range(ROW_WIDTH)))
+                    (window * 1000 + k, k,
+                     tuple((window + k + f) % 97 for f in range(ROW_WIDTH)))
                     for k in range(n)
                 ]
-                sent.append((chan_seq, records))
-                sections = [(0, chan_seq, records)]
-                payload = pack_sections(sections)
-                if (len(payload) <= ring.frame_capacity
-                        and ring.can_write()):
-                    seq = ring.write_frame(KIND_SECTIONS, n, [payload])
-                    pipe.append(("shm", seq))
-                else:
-                    pipe.append(("raw", sections))  # ring full: fallback
-            elif action == "deliver" and pipe:
-                deliver_next()
-            elif action == "ack" and unacked:
-                ring.mark_consumed(unacked.popleft())
-        while pipe:  # drain what is still in flight
-            deliver_next()
+                ring.mark_consumed(ring.next_seq - 2)
+                write_records(ring, records, "hyp-blob")
+                sent.append(records)
+            else:
+                delivered.append(read_records(reader))
+        while len(delivered) < len(sent):  # drain what is still in flight
+            delivered.append(read_records(reader))
         assert delivered == sent
+        assert set(list_orphans()) - orphans_before == {ring.name}
     finally:
         if reader is not None:
             reader.close()

@@ -32,7 +32,8 @@ NUMPY_ORACLES = ("ood", "dons-numpy")
 #: steady-traffic specs that actually hit (seed 100 does, early).
 FFWD_ORACLES = ("ood", "dons-numpy-ffwd")
 #: The torn-frame drill needs an oracle that decodes shared-memory
-#: frames; the pickled transports never touch the framing code.
+#: frames (``cluster-shm-2`` is the process transport's alias); the
+#: LocalTransport never touches the framing code.
 SHM_ORACLES = ("ood", "cluster-shm-2")
 
 SMALL = ScenarioSpec(seed=7, topology="dumbbell", topo_arg=2,
@@ -256,10 +257,10 @@ class TestFuzzLoop:
         div = result.shrunk.divergences[0]
         assert div.window is not None and div.system and div.entity
 
-        # The pickled transports never decode frames: the same fuzz
-        # stream stays clean when the shm transport is not asked for.
+        # The in-process transport never decodes frames: the same fuzz
+        # stream stays clean when no process transport is asked for.
         with torn_shm_read():
-            assert fuzz(0, 3, ("ood", "cluster-process-2")).ok
+            assert fuzz(0, 3, ("ood", "cluster-local-2")).ok
 
         # The artifact replays: still failing under the bug, clean after.
         assert result.artifact is not None and result.artifact.exists()
