@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.engine import DodEngine
 from ..des.partition_types import Partition
 from ..metrics import TraceLevel
+from ..protocols.egress import EgressPort
 from ..protocols.packet import Row
 from ..scenario import Scenario
 
@@ -107,6 +108,19 @@ class AgentEngine(DodEngine):
         part_of = self._partition.part_of
         me = self.agent_id
         return [part_of(port.iface.peer_node) == me for port in self.ports]
+
+    def reported_ports(self) -> List[EgressPort]:
+        """Only the ports this agent owns under its current partition.
+
+        A live migration hands a moved port object to its new owner
+        while the old owner's port list still references it, so
+        reporting every port would count the moved ports' ``tx_bytes``
+        and ``marks`` once per agent that ever held them.
+        """
+        part_of = self._partition.part_of
+        me = self.agent_id
+        return [port for port in self.ports
+                if part_of(port.iface.node) == me]
 
     def _maybe_init_memo(self) -> None:
         """Agents never fast-forward: a window with cross-agent traffic

@@ -101,6 +101,11 @@ class SoATable:
         """Bulk handles to several columns at once, by name."""
         return {name: self.column(name) for name in names}
 
+    def resident(self, names: Sequence[str]) -> Dict[str, List[Any]]:
+        """The live list columns by name: a list-backed table is always
+        its own resident working set (see ``NumpyTable.resident``)."""
+        return self.columns(names)
+
     def get(self, idx: int, name: str) -> Any:
         return self._columns[name][idx]
 

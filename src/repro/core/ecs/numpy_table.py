@@ -252,10 +252,29 @@ class NumpyTable:
 
         One vectorized ``column[idxs]`` per column; results come back as
         plain Python lists (``tolist`` converts NumPy scalars), so the
-        values are interchangeable with a ``SoATable`` gather.
+        values are interchangeable with a ``SoATable`` gather.  A read
+        never flushes the resident working set: a resident column is
+        read from its list (the authoritative values), any other column
+        from its array, so per-window sweeps can gather between sync
+        points.
         """
         ix = self._index_array(idxs, "gather", names[0] if names else "*")
-        return {name: self.column(name)[ix].tolist() for name in names}
+        res = self._resident
+        out: Dict[str, List[Any]] = {}
+        positions = None
+        for name in names:
+            values = res.get(name)
+            if values is not None:
+                if positions is None:
+                    positions = ix.tolist()
+                out[name] = [values[i] for i in positions]
+                continue
+            arr = self._arrays.get(name)
+            if arr is None:
+                raise ConfigError(
+                    f"table {self.kind!r} has no field {name!r}")
+            out[name] = arr[: self._n][ix].tolist()
+        return out
 
     def scatter(self, idxs: Sequence[int], name: str, values: Sequence[Any]) -> None:
         """Vectorized write: ``column[name][idxs] = values`` in one shot."""

@@ -787,13 +787,17 @@ class DodEngine:
             res = self.results
             res.trace = self.trace
             res.rtt_samples.sort()
-            for port in self.ports:
+            for port in self.reported_ports():
                 res.marks += port.stats.marked
                 res.tx_bytes += port.stats.tx_bytes
             if self.bus.telemetry:
                 self._final_metrics()
         self.pool.close()
         return self.results
+
+    def reported_ports(self) -> List[EgressPort]:
+        """The egress ports whose counters this engine's results sum."""
+        return self.ports
 
     def _final_metrics(self) -> None:
         """Whole-run metric rollups recorded once at finalize."""
@@ -805,7 +809,7 @@ class DodEngine:
                 fct.record((flow.complete_ps - flow.start_ps) * 1e-6)
         drops = marks = enq = deq = 0
         max_depth = 0
-        for port in self.ports:
+        for port in self.reported_ports():
             stats = port.stats
             drops += stats.dropped
             marks += stats.marked

@@ -54,16 +54,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import events as events_mod
 from .events import _Bucket
+from .systems.send import UDP_WIRE, send_tables, udp_emission_schedule
 from .window import ENTRY_ARRIVAL, ENTRY_UDP
 from ..protocols.packet import (
-    F_DST, F_FLOW, F_ISACK, F_SEND_TS, F_SEQ, HEADER_BYTES, MSS, Row,
+    F_DST, F_FLOW, F_ISACK, F_SEND_TS, F_SEQ, Row,
 )
 from ..metrics.trace import TraceRecorder
 from ..protocols.udp import UdpSchedule
 from ..schedulers.disciplines import (
     DeficitRoundRobinScheduler, RoundRobinScheduler,
 )
-from ..units import PS_PER_S
 
 __all__ = ["WindowMemoCache", "WindowDelta", "capture_filter"]
 
@@ -79,6 +79,13 @@ MAX_ENTRIES = 4096
 
 #: Zero stats increment (shared tuple, compared against on apply).
 _NO_STATS = (0, 0, 0, 0, 0)
+
+#: Entity columns the memo reads and writes, always through the tables'
+#: resident working sets (``resident``): an array-level access would
+#: flush every resident column back to its array each window.
+_CURSOR = ("udp_next_seq",)
+_RECV_STATE = ("expected", "unique_received", "complete_ps",
+               "out_of_order")
 
 
 def _identity_filter(delta: "WindowDelta") -> "WindowDelta":
@@ -231,7 +238,6 @@ class WindowMemoCache:
                 f.flow_id for f in scenario.flows
                 if f.transport == Transport.UDP)
         self._scheds: Dict[int, UdpSchedule] = {}
-        self._nics: Dict[int, int] = {}
         self._routes: Dict[Tuple[int, int, int], int] = {}
         self._is_host = tuple(
             n.is_host for n in scenario.topology.nodes)
@@ -317,9 +323,9 @@ class WindowMemoCache:
         One fused pass: closed-world membership checks bail out inline
         while encoding (mixed workloads mostly reject on the first
         non-UDP entry, long before any port is touched).  Per-flow
-        pacing cursors come through one bulk column handle per probe —
-        both backends expose ``column`` (list / ndarray view) — and
-        anchor the sequence rebase.
+        pacing cursors come through the sender table's resident working
+        set (one list handle per probe, no flush) and anchor the
+        sequence rebase.
         """
         engine = self.engine
         L = engine.lookahead
@@ -336,7 +342,8 @@ class WindowMemoCache:
         udp_flows = self._udp_flows
         probe = _Probe(win, start, end)
         sender_of_flow = engine.world.sender_of_flow
-        next_seq_col = engine.world.senders.column("udp_next_seq")
+        next_seq_col = engine.world.senders.resident(
+            _CURSOR)["udp_next_seq"]
         base_of = probe.base_of
         is_host = self._is_host
         ports = engine.ports
@@ -347,6 +354,7 @@ class WindowMemoCache:
         recv_counts: Dict[int, int] = {}
         udp_entry_enc = self._udp_entry_enc
         routes = self._routes
+        nic_of = send_tables(engine)[1]
         for node, e in zip(nodes, payloads):
             tag = e[0]
             if tag == ENTRY_UDP:
@@ -361,7 +369,7 @@ class WindowMemoCache:
                 ems_rel, wakeup_rel = udp_entry_enc(fid, b, start, end)
                 entries_enc.append(("u", node, fid, ems_rel, wakeup_rel))
                 if ems_rel:
-                    union.add(self._nic_of(fid))
+                    union.add(nic_of[fid])
             elif tag == ENTRY_ARRIVAL:
                 row = e[3]
                 f, ack, seq, size, ce, ece, ts, src, dst = row
@@ -406,9 +414,7 @@ class WindowMemoCache:
         receiver_of_flow = engine.world.receiver_of_flow
         flows_enc: List[Tuple] = []
         if recv_flows:
-            rcols = receivers.columns(
-                ("expected", "unique_received", "complete_ps",
-                 "out_of_order"))
+            rcols = receivers.resident(_RECV_STATE)
             exp_col, uni_col = rcols["expected"], rcols["unique_received"]
             comp_col, ooo_col = rcols["complete_ps"], rcols["out_of_order"]
         for fid in recv_flows:
@@ -439,15 +445,19 @@ class WindowMemoCache:
     def _sched_of(self, fid: int) -> UdpSchedule:
         sched = self._scheds.get(fid)
         if sched is None:
-            flow = self.engine.scenario.flows[fid]
-            topo = self.engine.scenario.topology
+            # Static sender columns, not a Flow facade (columnar traffic
+            # never materializes one on the engine's hot path).
+            engine = self.engine
+            row = engine.world.senders.gather(
+                [engine.world.sender_of_flow[fid]],
+                ("size_bytes", "start_ps", "src"))
             sched = self._scheds[fid] = UdpSchedule(
-                fid, flow.size_bytes, flow.start_ps,
-                topo.host_iface(flow.src).rate_bps)
+                fid, row["size_bytes"][0], row["start_ps"][0],
+                send_tables(engine)[2][row["src"][0]])
             self._totals[fid] = sched.total_segs
-            wire8 = (MSS + HEADER_BYTES) * 8 * PS_PER_S
             rate = sched.nic_rate_bps
-            self._pace[fid] = wire8 // rate if wire8 % rate == 0 else None
+            self._pace[fid] = (UDP_WIRE // rate if UDP_WIRE % rate == 0
+                               else None)
         return sched
 
     def _udp_entry_enc(self, fid: int, b: int, start: int,
@@ -463,7 +473,7 @@ class WindowMemoCache:
         per = self._pace[fid]
         total = self._totals[fid]
         if per is None:
-            ems, _nxt, wakeup = _udp_emissions(sched, b, end)
+            ems, _nxt, wakeup = udp_emission_schedule(sched, b, end)
             return (tuple((t - start, p) for t, _s, p in ems),
                     -1 if wakeup is None else wakeup - start)
         if b >= total:
@@ -478,7 +488,7 @@ class WindowMemoCache:
         key = (fid, phase, rem if rem <= n_unb else n_unb + 1)
         enc = self._udp_enc.get(key)
         if enc is None:
-            ems, _nxt, wakeup = _udp_emissions(sched, b, end)
+            ems, _nxt, wakeup = udp_emission_schedule(sched, b, end)
             enc = self._udp_enc[key] = (
                 tuple((t - start, p) for t, _s, p in ems),
                 -1 if wakeup is None else wakeup - start)
@@ -544,14 +554,6 @@ class WindowMemoCache:
         return (iface_id, 1 if active_flag else 0, free_enc,
                 port.queued_bytes, port.stats.max_queue_bytes,
                 extras, rows_tuple)
-
-    def _nic_of(self, fid: int) -> int:
-        nic = self._nics.get(fid)
-        if nic is None:
-            flow = self.engine.scenario.flows[fid]
-            topo = self.engine.scenario.topology
-            nic = self._nics[fid] = topo.host_iface(flow.src).iface_id
-        return nic
 
     def _route(self, node: int, row: Row) -> int:
         """Predict the ForwardSystem's egress choice (flow-mode ECMP is
@@ -666,27 +668,29 @@ class WindowMemoCache:
                                 s.dropped - p[2], s.marked - p[3],
                                 s.tx_bytes - p[4])))
 
-        senders = engine.world.senders
-        sender_of_flow = engine.world.sender_of_flow
+        world = engine.world
+        sender_of_flow = world.sender_of_flow
+        next_col = world.senders.resident(_CURSOR)["udp_next_seq"]
         sender_items: List[Tuple] = []
         for fid in probe.entry_flows:
-            rel = senders.get(sender_of_flow[fid],
-                              "udp_next_seq") - base_of[fid]
+            rel = next_col[sender_of_flow[fid]] - base_of[fid]
             if rel:
                 sender_items.append((fid, rel))
 
-        receivers = engine.world.receivers
-        receiver_of_flow = engine.world.receiver_of_flow
+        receiver_of_flow = world.receiver_of_flow
         recv_items: List[Tuple] = []
         completions: List[Tuple] = []
+        if probe.recv_flows:
+            rcols = world.receivers.resident(_RECV_STATE)
+            exp_col, uni_col = rcols["expected"], rcols["unique_received"]
+            comp_col, ooo_col = rcols["complete_ps"], rcols["out_of_order"]
         for fid in probe.recv_flows:
             ridx = receiver_of_flow[fid]
             b = base_of[fid]
-            expected = receivers.get(ridx, "expected") - b
-            unique = receivers.get(ridx, "unique_received") - b
-            ooo = tuple(sorted(
-                x - b for x in receivers.get(ridx, "out_of_order")))
-            complete = receivers.get(ridx, "complete_ps")
+            expected = exp_col[ridx] - b
+            unique = uni_col[ridx] - b
+            ooo = tuple(sorted(x - b for x in ooo_col[ridx]))
+            complete = comp_col[ridx]
             pre = probe.recv_pre[fid]
             comp_rel = -1
             if pre[4] == 0 and complete >= 0:
@@ -793,20 +797,19 @@ class WindowMemoCache:
                 s.marked += stats_incr[3]
                 s.tx_bytes += stats_incr[4]
 
-        # Scatter the entity writes through column handles fetched once
-        # per apply (``set`` would re-resolve the column every call).
+        # Scatter the entity writes through the resident working set,
+        # fetched once per apply: the same lists the systems sweep, so
+        # no write flushes the tables.
         sender_of_flow = engine.world.sender_of_flow
         if delta.senders:
-            next_col = engine.world.senders.column("udp_next_seq")
+            next_col = engine.world.senders.resident(
+                _CURSOR)["udp_next_seq"]
             for fid, rel in delta.senders:
                 next_col[sender_of_flow[fid]] = base_of[fid] + rel
 
-        receivers = engine.world.receivers
         receiver_of_flow = engine.world.receiver_of_flow
         if delta.receivers:
-            rcols = receivers.columns(
-                ("expected", "unique_received", "out_of_order",
-                 "complete_ps"))
+            rcols = engine.world.receivers.resident(_RECV_STATE)
             exp_col, uni_col = rcols["expected"], rcols["unique_received"]
             ooo_col, comp_col = rcols["out_of_order"], rcols["complete_ps"]
             for fid, expected, unique, ooo, comp_rel in delta.receivers:
@@ -923,11 +926,3 @@ class WindowMemoCache:
                                MEMO_APPLY_MS_BUCKETS)
             bus.span_add("window", t0, t1, "window",
                          {"index": win, "start_ps": start, "memo": True})
-
-
-def _udp_emissions(sched: UdpSchedule, seq: int, window_end: int):
-    """The UDP send write-set as data (shared with ``systems.send``)."""
-    from .systems.send import udp_emission_schedule
-    return udp_emission_schedule(sched, seq, window_end)
-
-

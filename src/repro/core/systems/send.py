@@ -17,22 +17,32 @@ Plan → kernel → commit:
   segments;
 * :func:`commit_send` stages segments, publishes op/trace events, and
   registers wakeups, in flow-id order.
+
+UDP pacing is closed-form: segment ``s`` enqueues at
+``start + (s * UDP_WIRE) // rate``, so the segments a window emits are
+the index range up to :func:`udp_cut`.  That one Python-int formula
+serves this module's kernel, the NumPy backend's batched sweep and the
+memoization probe; it is exact at any scale.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..window import (
     ENTRY_ARRIVAL, ENTRY_FLOW_START, WindowContext,
 )
 from ...protocols import DctcpState, UdpSchedule
 from ...protocols.packet import (
-    F_ECE, F_FLOW, F_ISACK, F_SEND_TS, F_SEQ, PRIO_ARRIVAL,
-    PRIO_FLOW_START, PRIO_TIMER, Row, data_row, segment_payload,
+    F_ECE, F_FLOW, F_ISACK, F_SEND_TS, F_SEQ, HEADER_BYTES, MSS,
+    PRIO_ARRIVAL, PRIO_FLOW_START, PRIO_TIMER, Row, data_row,
+    segment_payload,
 )
 from ...traffic import Transport
+from ...units import PS_PER_S
 
 #: Sender-table columns mirrored into DctcpState (same names both sides).
 _DCTCP_FIELDS = (
@@ -118,6 +128,27 @@ def store_dctcp(table, idx: int, state: DctcpState) -> None:
     store_dctcp_cols(table.columns(SENDER_COLS), idx, state)
 
 
+#: Wire time of one full segment times its rate, in ps·bps: UDP segment
+#: ``s`` enqueues at ``start + (s * UDP_WIRE) // rate``
+#: (:meth:`~repro.protocols.UdpSchedule.enqueue_time`).
+UDP_WIRE = (MSS + HEADER_BYTES) * 8 * PS_PER_S
+
+
+def udp_cut(start_ps: int, rate_bps: int, window_end: int) -> int:
+    """The first UDP segment index whose enqueue time is at or after
+    ``window_end`` (uncapped by the flow's segment count).
+
+    With ``D = window_end - start_ps``, ``t(s) >= window_end`` holds iff
+    ``(s * UDP_WIRE) // rate >= D``, iff ``s * UDP_WIRE >= D * rate``
+    (``D`` is an integer), so the cut is ``ceil(D * rate / UDP_WIRE)``,
+    or 0 when ``D <= 0``.  Python ints: exact at any scale.
+    """
+    d = window_end - start_ps
+    if d <= 0:
+        return 0
+    return -((-d * rate_bps) // UDP_WIRE)
+
+
 def udp_emission_schedule(
     sched: UdpSchedule, seq: int, window_end: int,
 ) -> Tuple[List[Tuple[int, int, int]], int, Optional[int]]:
@@ -127,19 +158,17 @@ def udp_emission_schedule(
     ``(enqueue time, seq, payload bytes)`` list of segments the flow
     emits before ``window_end``, ``next_seq`` the advanced pacing
     cursor, and ``wakeup`` the next enqueue time past the window (or
-    ``None`` when the schedule is exhausted).  Both the send kernel and
-    the memoization probe (:mod:`repro.core.memo`) evaluate the UDP
-    branch through this one function, so a cached window's predicted
-    emissions are the executed ones by construction.
+    ``None`` when the schedule is exhausted).  The emitted range ends at
+    :func:`udp_cut` — the same cut the NumPy backend's batched sweep
+    takes — and the memoization probe (:mod:`repro.core.memo`) calls
+    this function too, so a cached window's predicted emissions are the
+    executed ones by construction.
     """
-    out: List[Tuple[int, int, int]] = []
     total = sched.total_segs
-    while seq < total:
-        t = sched.enqueue_time(seq)
-        if t >= window_end:
-            break
-        out.append((t, seq, sched.payload(seq)))
-        seq += 1
+    stop = min(total, udp_cut(sched.start_ps, sched.nic_rate_bps, window_end))
+    out = [(sched.enqueue_time(s), s, sched.payload(s))
+           for s in range(seq, stop)]
+    seq = max(seq, stop)
     wakeup = sched.enqueue_time(seq) if seq < total else None
     return out, seq, wakeup
 
@@ -195,42 +224,59 @@ def send_kernel(
     Pure over the flow's sender row: each flow id maps to exactly one
     row, and a flow appears in at most one task.
     """
-    topo = scenario.topology
     flow = scenario.flows[flow_id]
     sidx = sender_of_flow[flow_id]
+    if flow.transport == Transport.UDP:
+        sched = UdpSchedule(
+            flow_id, flow.size_bytes, flow.start_ps,
+            scenario.topology.host_iface(flow.src).rate_bps)
+        udp_col = cols["udp_next_seq"]
+        ems, seq, udp_wakeup = udp_emission_schedule(
+            sched, udp_col[sidx], window_end)
+        out = [(t, PRIO_FLOW_START,
+                data_row(flow_id, s, payload, t, flow.src, flow.dst))
+               for t, s, payload in ems]
+        udp_col[sidx] = seq
+        return flow_id, out, [], None, udp_wakeup, len(ems)
+    return cca_kernel(cols, sidx, scenario.cca_params(flow.transport),
+                      flow_id, flow.src, flow.dst, flow.size_bytes,
+                      acks_of.get(flow_id, ()), starts.get(flow_id),
+                      window_end)
+
+
+def cca_kernel(
+    cols: Dict[str, list],
+    sidx: int,
+    params,
+    flow_id: int,
+    src: int,
+    dst: int,
+    size_bytes: int,
+    acks: Sequence[Tuple[int, Row]],
+    start: Optional[int],
+    window_end: int,
+):
+    """One window-CCA (DCTCP / RENO) flow's chronological replay.
+
+    ``acks`` are the flow's ACK deliveries of the window and ``start``
+    its flow-start time when the flow starts in the window.  Returns the
+    :func:`send_kernel` result tuple.
+    """
     out: List[Tuple[int, int, Row]] = []  # (t, prio, row)
     rtts: List[Tuple[int, int, int]] = []
     wakeup: Optional[int] = None  # rtx deadline to register
     events = 0
-
-    if flow.transport == Transport.UDP:
-        sched = UdpSchedule(flow_id, flow.size_bytes, flow.start_ps,
-                            topo.host_iface(flow.src).rate_bps)
-        udp_col = cols["udp_next_seq"]
-        ems, seq, udp_wakeup = udp_emission_schedule(
-            sched, udp_col[sidx], window_end)
-        for t, s, payload in ems:
-            out.append((t, PRIO_FLOW_START,
-                        data_row(flow_id, s, payload, t,
-                                 flow.src, flow.dst)))
-        udp_col[sidx] = seq
-        return flow_id, out, rtts, None, udp_wakeup, len(ems)
-
-    # --- window CCA (DCTCP / RENO): per-flow chronological replay ---
-    state = load_dctcp_cols(cols, sidx, scenario.cca_params(flow.transport))
-    evs: List[FlowEvent] = [
-        (t, PRIO_ARRIVAL, row) for t, row in acks_of.get(flow_id, ())
-    ]
-    if flow_id in starts:
-        evs.append((starts[flow_id], PRIO_FLOW_START, None))
+    state = load_dctcp_cols(cols, sidx, params)
+    evs: List[FlowEvent] = [(t, PRIO_ARRIVAL, row) for t, row in acks]
+    if start is not None:
+        evs.append((start, PRIO_FLOW_START, None))
     evs.sort(key=lambda e: (e[0], e[1], e[2][F_SEQ] if e[2] else 0))
 
     def emit(seqs: List[int], now: int, prio: int) -> None:
         for seq in seqs:
-            payload = segment_payload(flow.size_bytes, seq)
+            payload = segment_payload(size_bytes, seq)
             out.append((now, prio,
-                        data_row(flow_id, seq, payload, now,
-                                 flow.src, flow.dst)))
+                        data_row(flow_id, seq, payload, now, src, dst)))
 
     i, n = 0, len(evs)
     while True:
@@ -263,31 +309,48 @@ def send_kernel(
     return flow_id, out, rtts, wakeup, None, events
 
 
+def send_tables(engine) -> Tuple[List[int], List[int], List[int]]:
+    """Static send-side lookup lists, built once per engine.
+
+    Returns ``(src_of_flow, nic_of_flow, rate_of_node)``: each flow's
+    source host and source NIC iface id (flow-id indexed), and each
+    host's NIC rate (node indexed, 0 for switches).  The per-flow lists
+    come from one vectorized gather over a per-node NIC array, so no
+    Flow facade and no per-flow topology lookup is ever made.
+    """
+    tables = getattr(engine, "_send_tables", None)
+    if tables is None:
+        topo = engine.scenario.topology
+        nic = np.full(topo.num_nodes, -1, dtype=np.int64)
+        rate = [0] * topo.num_nodes
+        for host in topo.hosts:
+            iface = topo.host_iface(host)
+            nic[host] = iface.iface_id
+            rate[host] = iface.rate_bps
+        flows = engine.scenario.flows
+        columns = getattr(flows, "columns", None)
+        if columns is not None:
+            src = columns()["src"]
+        else:
+            src = np.fromiter((f.src for f in flows), dtype=np.int64,
+                              count=len(flows))
+        tables = engine._send_tables = (src.tolist(), nic[src].tolist(),
+                                        rate)
+    return tables
+
+
 def commit_send(engine, ctx: WindowContext, results) -> None:
     """Stage kernel outputs and register wakeups, in flow-id order."""
     from ..window import ENTRY_TIMER, ENTRY_UDP
-    topo = engine.scenario.topology
     bus = engine.bus
-    flows = engine.scenario.flows
-    nic_of = getattr(engine, "_flow_nic", None)
-    if nic_of is None:
-        src_list = getattr(flows, "src_list", None)
-        host_iface = topo.host_iface
-        if src_list is not None:
-            # Columnar traffic: map sources without Flow facades.
-            nic_of = engine._flow_nic = [
-                host_iface(s).iface_id for s in src_list()]
-        else:
-            nic_of = engine._flow_nic = [
-                host_iface(f.src).iface_id for f in flows]
+    src_of, nic_of, _rate = send_tables(engine)
     staged = ctx.staged
     counts = ctx.counts
     node_events = engine.results.node_events
     rtt_extend = engine.results.rtt_samples.extend
     has_ops = bus.has_ops
     for flow_id, out, rtts, rtx_wakeup, udp_wakeup, events in results:
-        flow = flows[flow_id]
-        src = flow.src
+        src = src_of[flow_id]
         segments = 0
         if has_ops:
             from ...protocols.packet import packet_uid

@@ -29,9 +29,11 @@ around the kernels is columnar:
 
 Integer timestamp arithmetic stays bit-exact: every value that crosses
 from an ndarray into a packet row or trace entry is converted to a
-Python scalar first, and the vectorized UDP schedule decomposes its
-closed form so ``int64`` cannot overflow (falling back to the scalar
-schedule — same floor divisions — when it could).
+Python scalar first.  The SendSystem sweeps the window's UDP flows in
+one pass over gathered sender columns and cuts each flow's emissions
+with the shared Python-int closed form
+(:func:`~repro.core.systems.send.udp_cut`), so no per-flow NumPy call
+runs and no ``int64`` bound applies.
 
 The commit helpers (``commit_send``/``commit_ack``/``commit_transmit``)
 are shared with the Python variants: the backends differ in how work is
@@ -48,18 +50,18 @@ import numpy as np
 from .ack import AckCols, ack_kernel, commit_ack
 from .forward import ForwardWork, plan_forward
 from .send import (
-    SENDER_COLS, _DCTCP_FIELDS, commit_send, plan_send, send_kernel,
+    SENDER_COLS, UDP_WIRE, cca_kernel, commit_send, plan_send, send_tables,
+    udp_cut,
 )
 from .transmit import commit_transmit
 from .. import events as events_mod
 from ..ecs import CommandBuffer, consolidate_grouped
 from ..runtime import chunk_ranges
 from ..window import ENTRY_ARRIVAL, ENTRY_FLOW_START, Staged, WindowContext
-from ...protocols import UdpSchedule
 from ...protocols.aqm import AqmKind, should_mark
 from ...schedulers.disciplines import FifoScheduler
 from ...protocols.packet import (
-    F_DST, F_FLOW, F_ISACK, F_SEQ, F_SIZE, HEADER_BYTES, MSS,
+    F_DST, F_FLOW, F_ISACK, F_SEQ, F_SIZE, MSS,
     PRIO_ARRIVAL, PRIO_FLOW_START, Row, data_row, with_ce,
 )
 from ...traffic import Transport
@@ -121,72 +123,58 @@ def _chunked(items: List, workers: int) -> List[List]:
 # --- SendSystem ------------------------------------------------------------
 
 
-def _udp_send_kernel(cols, scenario, window_end: int, flow_id: int, k: int):
-    """Vectorized UDP pacing: one flow's window as an array expression.
+#: Static sender columns the batched sweep gathers per window (written
+#: once at build, so they stay out of the resident working set).
+_FLOW_STATIC = ("transport", "src", "dst", "size_bytes", "start_ps")
 
-    The closed form ``t(seq) = start + (seq*wire*8*PS)//rate`` is
-    evaluated over the whole remaining segment range at once.  To stay
-    inside ``int64``, the division is decomposed via
-    ``q, r = divmod(wire*8*PS, rate)`` into ``start + seq*q +
-    (seq*r)//rate`` — identical floor arithmetic, and for every rate
-    that divides the wire term (all realistic ones) ``r == 0``.  When
-    the decomposition could still overflow (degenerate rate/size
-    combinations), the scalar schedule runs instead; either path
-    produces bit-identical timestamps.
+
+def send_batch_kernel(engine, cols, acks_of, starts, window_end: int,
+                      flow_ids: List[int]):
+    """One worker's slice of the sender sweep, in flow-id order.
+
+    The slice's static flow attributes come from one gather per column
+    of the sender table; pacing cursors and segment counts from the
+    resident working set ``cols``; NIC rates from the per-node list of
+    :func:`~repro.core.systems.send.send_tables`.  UDP flows emit the
+    segment range up to the closed-form :func:`udp_cut` inline, with
+    no per-flow object or NumPy call; window-CCA flows replay through
+    :func:`~repro.core.systems.send.cca_kernel`.
     """
-    flow = scenario.flows[flow_id]
-    rate = scenario.topology.host_iface(flow.src).rate_bps
-    sched = UdpSchedule(flow_id, flow.size_bytes, flow.start_ps, rate)
-    udp_col = cols["udp_next_seq"]
-    seq = udp_col[k]
-    total = sched.total_segs
-    out: List[Tuple[int, int, Row]] = []
-    if seq < total:
-        wire8ps = (MSS + HEADER_BYTES) * 8 * PS_PER_S
-        q, r = divmod(wire8ps, rate)
-        # Python-int bound on the largest timestamp the range can reach.
-        t_last = flow.start_ps + ((total - 1) * wire8ps) // rate
-        if t_last < 2 ** 63 and (total - 1) * r < 2 ** 63:
-            seqs = np.arange(seq, total, dtype=np.int64)
-            times = flow.start_ps + seqs * q
-            if r:
-                times += (seqs * r) // rate
-            cut = int(np.searchsorted(times, window_end, side="left"))
-            for s, t in zip(seqs[:cut].tolist(), times[:cut].tolist()):
-                out.append((t, PRIO_FLOW_START,
-                            data_row(flow_id, s, sched.payload(s), t,
-                                     flow.src, flow.dst)))
-            seq += cut
-        else:  # pragma: no cover - degenerate scales, scalar fallback
-            while seq < total:
-                t = sched.enqueue_time(seq)
-                if t >= window_end:
-                    break
-                out.append((t, PRIO_FLOW_START,
-                            data_row(flow_id, seq, sched.payload(seq), t,
-                                     flow.src, flow.dst)))
-                seq += 1
-    udp_col[k] = seq
-    udp_wakeup = sched.enqueue_time(seq) if seq < total else None
-    return flow_id, out, [], None, udp_wakeup, len(out)
-
-
-def send_batch_kernel(cols, sender_of_flow, scenario, acks_of, starts,
-                      window_end, flow_ids: List[int]):
-    """One worker's slice of the sender sweep, flow by flow in order."""
-    out = []
-    flows = scenario.flows
-    tr_at = getattr(flows, "transport_at", None)
+    world = engine.world
+    sender_of_flow = world.sender_of_flow
+    sidxs = [sender_of_flow[f] for f in flow_ids]
+    static = world.senders.gather(sidxs, _FLOW_STATIC)
+    rate_of = send_tables(engine)[2]
+    cca_params = engine.scenario.cca_params
+    next_col = cols["udp_next_seq"]
+    total_col = cols["total_segs"]
     udp = int(Transport.UDP)
-    for flow_id in flow_ids:
-        is_udp = (tr_at(flow_id) == udp if tr_at is not None
-                  else flows[flow_id].transport == Transport.UDP)
-        if is_udp:
-            out.append(_udp_send_kernel(cols, scenario, window_end,
-                                        flow_id, sender_of_flow[flow_id]))
-        else:
-            out.append(send_kernel(cols, sender_of_flow, scenario, acks_of,
-                                   starts, window_end, flow_id))
+    out = []
+    for flow_id, sidx, transport, src, dst, size, start in zip(
+            flow_ids, sidxs, static["transport"], static["src"],
+            static["dst"], static["size_bytes"], static["start_ps"]):
+        if transport != udp:
+            out.append(cca_kernel(
+                cols, sidx, cca_params(transport), flow_id, src, dst, size,
+                acks_of.get(flow_id, ()), starts.get(flow_id), window_end))
+            continue
+        seq = next_col[sidx]
+        total = total_col[sidx]
+        rate = rate_of[src]
+        stop = udp_cut(start, rate, window_end)
+        if stop > total:
+            stop = total
+        rows: List[Tuple[int, int, Row]] = []
+        if stop > seq:
+            last = total - 1
+            for s in range(seq, stop):
+                t = start + (s * UDP_WIRE) // rate
+                payload = MSS if s < last else size - MSS * last
+                rows.append((t, PRIO_FLOW_START,
+                             data_row(flow_id, s, payload, t, src, dst)))
+            seq = next_col[sidx] = stop
+        wakeup = start + (seq * UDP_WIRE) // rate if seq < total else None
+        out.append((flow_id, rows, [], None, wakeup, len(rows)))
     return out
 
 
@@ -212,12 +200,10 @@ def run_send_system_np(engine, ctx: WindowContext) -> None:
             bus.deliver(t, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
 
     cols = engine.world.senders.resident(SENDER_COLS)
-    sender_of_flow = engine.world.sender_of_flow
     chunks = _chunked(flow_ids, engine.pool.workers)
     results = engine.pool.map(
         "send",
-        lambda chunk: send_batch_kernel(cols, sender_of_flow,
-                                        engine.scenario, acks_of, starts,
+        lambda chunk: send_batch_kernel(engine, cols, acks_of, starts,
                                         ctx.end, chunk),
         chunks,
         sizes=[sum(len(acks_of.get(f, ())) + 1 for f in chunk)
@@ -1196,14 +1182,12 @@ def run_window_fused(engine, ctx: WindowContext):
             ):
                 bus.deliver(t, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
         cols = world.senders.resident(SENDER_COLS)
-        sender_of_flow = world.sender_of_flow
         if workers > 1 and len(flow_ids) > 1:
             chunks = _chunked(flow_ids, workers)
             results = pool.map(
                 "send",
-                lambda chunk: send_batch_kernel(cols, sender_of_flow, sc,
-                                                acks_of, starts, ctx.end,
-                                                chunk),
+                lambda chunk: send_batch_kernel(engine, cols, acks_of,
+                                                starts, ctx.end, chunk),
                 chunks,
                 sizes=[sum(len(acks_of.get(f, ())) + 1 for f in chunk)
                        for chunk in chunks],
@@ -1211,8 +1195,8 @@ def run_window_fused(engine, ctx: WindowContext):
             results = (results[0] if len(results) == 1
                        else [r for chunk in results for r in chunk])
         else:
-            results = send_batch_kernel(cols, sender_of_flow, sc, acks_of,
-                                        starts, ctx.end, flow_ids)
+            results = send_batch_kernel(engine, cols, acks_of, starts,
+                                        ctx.end, flow_ids)
         commit_send(engine, ctx, results)
     t2 = clock()
 

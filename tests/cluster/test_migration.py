@@ -93,3 +93,35 @@ def test_migration_immediately_followed_by_rpc():
     engine.finalize()
     merged = merge_results(engine.per_agent, sc.name)
     assert sorted(merged.trace.entries) == sorted(reference.trace.entries)
+
+
+def test_migrated_port_stats_are_counted_once():
+    """After a live migration both the old and the new owner hold the
+    moved port objects; the merged ``tx_bytes``/``marks``/``drops``
+    must still equal the serial engine's."""
+    from repro.cluster.agent import spec_of
+    from repro.cluster.runtime import ClusterEngine
+    from repro.cluster.transport import LocalTransport
+    from repro.protocols.aqm import AqmConfig
+    from repro.traffic import Transport
+
+    topo = fattree(4, rate_bps=10 * GBPS, delay_ps=us(1))
+    hosts = topo.hosts
+    flows = [Flow(i, hosts[i + 4], hosts[0], 150_000, us(i),
+                  Transport.DCTCP) for i in range(6)]
+    flows += [Flow(6 + i, hosts[i + 8], hosts[1], 100_000, us(2 * i),
+                   Transport.UDP) for i in range(4)]
+    sc = make_scenario(topo, flows, buffer_bytes=40_000,
+                       aqm=AqmConfig(ecn_threshold_bytes=15_000))
+    serial = run_dons(sc)
+    assert serial.marks > 0 and serial.drops > 0
+    first = contiguous_partition(topo, 3)
+    agents = [AgentEngine(a, sc, first) for a in range(3)]
+    cluster = ClusterEngine(
+        [spec_of(a) for a in agents],
+        transport=LocalTransport(engines=agents),
+        schedule=[(5, random_partition(topo, 3, seed=9))])
+    merged = merge_results(cluster.run(), sc.name)
+    assert cluster.migrations and cluster.migrations[0].ports_moved > 0
+    assert ((merged.tx_bytes, merged.marks, merged.drops)
+            == (serial.tx_bytes, serial.marks, serial.drops))

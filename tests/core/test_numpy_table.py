@@ -203,6 +203,19 @@ class TestResidentWorkingSet:
         assert cand.gather([0], ["flag"]) == {"flag": [True]}
         assert_tables_equal(ref, cand)
 
+    def test_gather_reads_resident_lists_without_flushing(self):
+        _, cand = make_pair(
+            [{"i": k, "f": float(k), "flag": False, "obj": None}
+             for k in range(5)])
+        view = cand.resident(["i"])
+        view["i"][3] = 42
+        assert cand.gather([3, 1], ["i", "f"]) == {"i": [42, 1],
+                                                   "f": [3.0, 1.0]}
+        # Still the same working set: nothing was flushed or dropped.
+        assert cand.resident(["i"]) is view
+        with pytest.raises(ColumnIndexError):
+            cand.gather([5], ["i"])
+
     def test_resident_view_is_cached(self):
         _, cand = make_pair(
             [{"i": 1, "f": 0.0, "flag": False, "obj": None}])
