@@ -71,7 +71,10 @@ SENDER_SCHEMA = (
     FieldSpec("rto_ps", 0),
     FieldSpec("backoff", 1),
     FieldSpec("rtx_deadline", -1),  # -1 = disarmed
-    FieldSpec("timer_gen", 0),
+    # The flow's one pending ENTRY_TIMER wakeup (-1 = none).  It stands
+    # in for DctcpState.timer_gen, which only the OOD baseline's
+    # per-arm timers read.
+    FieldSpec("wake_ps", -1),
     FieldSpec("done", 0),
     FieldSpec("done_ps", -1),
     # UDP pacing cursor.

@@ -405,7 +405,14 @@ class DodEngine:
                                     self._running_window + 1)
 
     def register_wakeup(self, t: int, node: int, tag: int, flow_id: int) -> None:
-        """SendSystem callback: revisit ``flow_id`` in the window of ``t``."""
+        """SendSystem callback: revisit ``flow_id`` in the window of ``t``.
+
+        Every call is one calendar entry and may be the only entry of its
+        window, so callers register sparingly: ``commit_send`` keeps one
+        pending ``ENTRY_TIMER`` wakeup per flow (sender column
+        ``wake_ps``) and registers ``ENTRY_UDP`` wakeups at each flow's
+        next pacing time.
+        """
         self._insert(t, node, (tag, flow_id))
 
     def bump_node(self, node: int, count: int = 1) -> None:
@@ -538,7 +545,8 @@ class DodEngine:
             if self._carried_staged:
                 # Something is pending: the next window must run.
                 self._insert((ctx.index + 1) * self.lookahead, 0, (ENTRY_TIMER, -1))
-        self.results.end_time_ps = ctx.end
+        if ctx.end > self.results.end_time_ps:
+            self.results.end_time_ps = ctx.end
         if ctx.counts.total:
             self.results.events.add(ctx.counts)
             self.results.window_breakdown.append(
@@ -773,7 +781,8 @@ class DodEngine:
                 res.window_breakdown.append(
                     ((first + j) * L, 0, 0, 0, c))
         bus.system_time("transmit", t1 - t0)
-        res.end_time_ps = span_end
+        if span_end > res.end_time_ps:
+            res.end_time_ps = span_end
         return n_windows
 
     def run(self) -> SimResults:

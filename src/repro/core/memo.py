@@ -911,7 +911,8 @@ class WindowMemoCache:
             ev.forward += f
             ev.transmit += tr
             res.window_breakdown.append((start, a, s_, f, tr))
-        res.end_time_ps = probe.end
+        if probe.end > res.end_time_ps:
+            res.end_time_ps = probe.end
         for node, d in delta.node_incr:
             res.node_events[node] = res.node_events.get(node, 0) + d
         res.drops += delta.drops_incr

@@ -25,12 +25,15 @@ from itertools import repeat
 from typing import Dict, List, NamedTuple, Tuple
 
 from ..window import ENTRY_ARRIVAL, WindowContext
+from .send import send_tables
 from ...protocols.packet import (
     F_CE,
+    F_DST,
     F_FLOW,
     F_ISACK,
     F_SEND_TS,
     F_SEQ,
+    F_SRC,
     PRIO_ARRIVAL,
     Row,
     ack_row,
@@ -72,13 +75,14 @@ def plan_ack(engine, ctx: WindowContext) -> List[AckWork]:
 def ack_kernel(
     cols: AckCols,
     receiver_of_flow: Dict[int, int],
-    flows,
     item: AckWork,
 ):
     """One host's deliveries; returns staged ACKs and completions.
 
     Pure over its column slice: the only writes are to the receiver rows
-    of this host's flows, which no other task touches.
+    of this host's flows, which no other task touches.  An ACK travels
+    the data row's path reversed (its ``F_DST`` -> ``F_SRC``), so no
+    flow record is read.
     """
     node, arrivals = item
     expected_col = cols.expected
@@ -118,19 +122,23 @@ def ack_kernel(
                 complete_col[ridx] = t
                 completions.append((flow_id, t))
         if needs_ack_col[ridx]:
-            flow = flows[flow_id]
             out = ack_row(
                 flow_id, expected_col[ridx], row[F_CE], row[F_SEND_TS],
-                flow.dst, flow.src,
+                row[F_DST], row[F_SRC],
             )
             acks.append((t, node, out))
     return node, arrivals, acks, completions, n
 
 
 def commit_ack(engine, ctx: WindowContext, results) -> None:
-    """Consolidate kernel outputs on the main thread, in task order."""
+    """Consolidate kernel outputs on the main thread, in task order.
+
+    A task's ACKs all leave its receiving host, so they stage on that
+    host's NIC (``nic_of_node`` of :func:`~.send.send_tables`).
+    """
     bus = engine.bus
     trace_on = bool(bus.trace_level)
+    nic_of_node = send_tables(engine)[3]
     for node, arrivals, acks, completions, n in results:
         ctx.counts.ack += n
         engine.bump_node(node, n)
@@ -142,9 +150,8 @@ def commit_ack(engine, ctx: WindowContext, results) -> None:
             for t, _prio, row in arrivals:
                 bus.deliver(t, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
         if acks:
-            host_iface = engine.scenario.topology.host_iface
             ctx.stage_batch(
-                [host_iface(a[1]).iface_id for a in acks],
+                repeat(nic_of_node[node], len(acks)),
                 [a[0] for a in acks],
                 repeat(PRIO_ARRIVAL),
                 [a[2] for a in acks],
@@ -152,7 +159,7 @@ def commit_ack(engine, ctx: WindowContext, results) -> None:
         for flow_id, t in completions:
             engine.results.flows[flow_id].complete_ps = t
             if trace_on:
-                bus.flow_done(t, engine.scenario.flows[flow_id].dst, flow_id)
+                bus.flow_done(t, node, flow_id)
 
 
 def run_ack_system(engine, ctx: WindowContext) -> None:
@@ -162,8 +169,7 @@ def run_ack_system(engine, ctx: WindowContext) -> None:
         return
     rec = engine.world.receivers
     cols = AckCols(*(rec.column(name) for name in AckCols._fields))
-    kernel = partial(ack_kernel, cols, engine.world.receiver_of_flow,
-                     engine.scenario.flows)
+    kernel = partial(ack_kernel, cols, engine.world.receiver_of_flow)
     results = engine.pool.map(
         "ack", kernel, work, sizes=[len(w[1]) for w in work]
     )

@@ -16,7 +16,8 @@ Plan → kernel → commit:
   — the columnar pattern the machine model measures) and returns staged
   segments;
 * :func:`commit_send` stages segments, publishes op/trace events, and
-  registers wakeups, in flow-id order.
+  registers wakeups, in flow-id order — at most one pending RTO wakeup
+  per flow, re-armed lazily as ACKs move the deadline.
 
 UDP pacing is closed-form: segment ``s`` enqueues at
 ``start + (s * UDP_WIRE) // rate``, so the segments a window emits are
@@ -45,10 +46,12 @@ from ...traffic import Transport
 from ...units import PS_PER_S
 
 #: Sender-table columns mirrored into DctcpState (same names both sides).
+#: ``timer_gen`` is not among them: it versions the OOD baseline's
+#: per-arm timers, and the window engine reads ``rtx_deadline`` instead.
 _DCTCP_FIELDS = (
     "snd_una", "next_seq", "cwnd", "ssthresh", "alpha", "acked_win",
     "marked_win", "alpha_seq", "cut_seq", "dupacks", "srtt_ps",
-    "rttvar_ps", "rto_ps", "backoff", "timer_gen",
+    "rttvar_ps", "rto_ps", "backoff",
 )
 
 #: Every sender column the kernel sweeps.
@@ -85,7 +88,6 @@ def load_dctcp_cols(cols: Dict[str, list], idx: int, params) -> DctcpState:
     state.rttvar_ps = cols["rttvar_ps"][idx]
     state.rto_ps = cols["rto_ps"][idx]
     state.backoff = cols["backoff"][idx]
-    state.timer_gen = cols["timer_gen"][idx]
     deadline = cols["rtx_deadline"][idx]
     state.rtx_deadline = None if deadline < 0 else deadline
     state.done = bool(cols["done"][idx])
@@ -110,22 +112,11 @@ def store_dctcp_cols(cols: Dict[str, list], idx: int, state: DctcpState) -> None
     cols["rttvar_ps"][idx] = state.rttvar_ps
     cols["rto_ps"][idx] = state.rto_ps
     cols["backoff"][idx] = state.backoff
-    cols["timer_gen"][idx] = state.timer_gen
     cols["rtx_deadline"][idx] = (
         -1 if state.rtx_deadline is None else state.rtx_deadline
     )
     cols["done"][idx] = int(state.done)
     cols["done_ps"][idx] = -1 if state.done_ps is None else state.done_ps
-
-
-def load_dctcp(table, idx: int, params) -> DctcpState:
-    """Row-at-a-time compatibility wrapper over :func:`load_dctcp_cols`."""
-    return load_dctcp_cols(table.columns(SENDER_COLS), idx, params)
-
-
-def store_dctcp(table, idx: int, state: DctcpState) -> None:
-    """Row-at-a-time compatibility wrapper over :func:`store_dctcp_cols`."""
-    store_dctcp_cols(table.columns(SENDER_COLS), idx, state)
 
 
 #: Wire time of one full segment times its rate, in ps·bps: UDP segment
@@ -309,14 +300,16 @@ def cca_kernel(
     return flow_id, out, rtts, wakeup, None, events
 
 
-def send_tables(engine) -> Tuple[List[int], List[int], List[int]]:
+def send_tables(engine) -> Tuple[List[int], List[int], List[int], List[int]]:
     """Static send-side lookup lists, built once per engine.
 
-    Returns ``(src_of_flow, nic_of_flow, rate_of_node)``: each flow's
-    source host and source NIC iface id (flow-id indexed), and each
-    host's NIC rate (node indexed, 0 for switches).  The per-flow lists
-    come from one vectorized gather over a per-node NIC array, so no
-    Flow facade and no per-flow topology lookup is ever made.
+    Returns ``(src_of_flow, nic_of_flow, rate_of_node, nic_of_node)``:
+    each flow's source host and source NIC iface id (flow-id indexed),
+    and each host's NIC rate and NIC iface id (node indexed; 0 and -1
+    for switches).  The per-flow lists come from one vectorized gather
+    over the per-node NIC array, so no Flow facade and no per-flow
+    topology lookup is ever made.  The ACK path stages on
+    ``nic_of_node`` too.
     """
     tables = getattr(engine, "_send_tables", None)
     if tables is None:
@@ -335,20 +328,38 @@ def send_tables(engine) -> Tuple[List[int], List[int], List[int]]:
             src = np.fromiter((f.src for f in flows), dtype=np.int64,
                               count=len(flows))
         tables = engine._send_tables = (src.tolist(), nic[src].tolist(),
-                                        rate)
+                                        rate, nic.tolist())
     return tables
 
 
 def commit_send(engine, ctx: WindowContext, results) -> None:
-    """Stage kernel outputs and register wakeups, in flow-id order."""
+    """Stage kernel outputs and register wakeups, in flow-id order.
+
+    A window-CCA flow keeps at most one pending ``ENTRY_TIMER`` wakeup,
+    held in its sender row (``wake_ps``, -1 for none).  The kernel hands
+    back the flow's retransmission deadline on every visit; a wakeup is
+    registered only when the flow has none pending in a later window,
+    or when the deadline's window comes before the pending one.  A
+    deadline that ACKs pushed forward is re-armed lazily: the pending
+    wakeup fires first, the visit finds the deadline still ahead, and
+    the kernel returns it again.  Every deadline still raises
+    ``end_time_ps`` to its window's end (clamped by the duration cut,
+    like any window), so the end time is the one a calendar with a
+    wakeup at every deadline would reach.
+    """
     from ..window import ENTRY_TIMER, ENTRY_UDP
     bus = engine.bus
-    src_of, nic_of, _rate = send_tables(engine)
+    src_of, nic_of = send_tables(engine)[:2]
     staged = ctx.staged
     counts = ctx.counts
     node_events = engine.results.node_events
     rtt_extend = engine.results.rtt_samples.extend
     has_ops = bus.has_ops
+    L = engine.lookahead
+    duration = engine.scenario.duration_ps
+    window_end = ctx.end
+    wake = sender_of = None
+    reach = -1  # latest deadline window of this commit
     for flow_id, out, rtts, rtx_wakeup, udp_wakeup, events in results:
         src = src_of[flow_id]
         segments = 0
@@ -374,9 +385,25 @@ def commit_send(engine, ctx: WindowContext, results) -> None:
         if n_ev:
             node_events[src] = node_events.get(src, 0) + n_ev
         if rtx_wakeup is not None:
-            engine.register_wakeup(rtx_wakeup, src, ENTRY_TIMER, flow_id)
+            if wake is None:
+                wake = engine.world.senders.resident(("wake_ps",))["wake_ps"]
+                sender_of = engine.world.sender_of_flow
+            sidx = sender_of[flow_id]
+            pending = wake[sidx]
+            win = rtx_wakeup // L
+            if pending < window_end or win < pending // L:
+                wake[sidx] = rtx_wakeup
+                engine.register_wakeup(rtx_wakeup, src, ENTRY_TIMER, flow_id)
+            if win > reach and (duration is None or win * L <= duration):
+                reach = win
         if udp_wakeup is not None:
             engine.register_wakeup(udp_wakeup, src, ENTRY_UDP, flow_id)
+    if reach >= 0:
+        end = (reach + 1) * L
+        if duration is not None and end > duration + 1:
+            end = duration + 1
+        if end > engine.results.end_time_ps:
+            engine.results.end_time_ps = end
 
 
 def run_send_system(engine, ctx: WindowContext) -> None:

@@ -237,10 +237,9 @@ def plan_ack_np(engine, ctx: WindowContext) -> List[AckWork]:
     return work
 
 
-def ack_batch_kernel(cols: AckCols, receiver_of_flow, flows,
-                     items: List[AckWork]):
+def ack_batch_kernel(cols: AckCols, receiver_of_flow, items: List[AckWork]):
     """One worker's slice of the receiver sweep, host by host."""
-    return [ack_kernel(cols, receiver_of_flow, flows, item) for item in items]
+    return [ack_kernel(cols, receiver_of_flow, item) for item in items]
 
 
 def run_ack_system_np(engine, ctx: WindowContext) -> None:
@@ -258,8 +257,7 @@ def run_ack_system_np(engine, ctx: WindowContext) -> None:
     chunks = _chunked(work, engine.pool.workers)
     results = engine.pool.map(
         "ack",
-        lambda chunk: ack_batch_kernel(cols, receiver_of_flow,
-                                       engine.scenario.flows, chunk),
+        lambda chunk: ack_batch_kernel(cols, receiver_of_flow, chunk),
         chunks,
         sizes=[sum(len(w[1]) for w in chunk) for chunk in chunks],
     )
@@ -1160,15 +1158,14 @@ def run_window_fused(engine, ctx: WindowContext):
             results = pool.map(
                 "ack",
                 lambda chunk: ack_batch_kernel(cols, receiver_of_flow,
-                                               sc.flows, chunk),
+                                               chunk),
                 chunks,
                 sizes=[sum(len(w[1]) for w in chunk) for chunk in chunks],
             )
             results = (results[0] if len(results) == 1
                        else [r for chunk in results for r in chunk])
         else:
-            results = ack_batch_kernel(cols, receiver_of_flow, sc.flows,
-                                       ack_work)
+            results = ack_batch_kernel(cols, receiver_of_flow, ack_work)
         commit_ack(engine, ctx, results)
     t1 = clock()
 

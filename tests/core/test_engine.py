@@ -87,10 +87,28 @@ class TestParityWithBaseline:
         assert one.trace.sorted_entries() == four.trace.sorted_entries()
         assert one.rtt_samples == four.rtt_samples
 
-    def test_duration_cutoff(self, dumbbell_scenario):
-        sc = dataclasses.replace(dumbbell_scenario, duration_ps=us(50))
+    @staticmethod
+    def _end_time_parity(sc):
+        """Both engines end within one lookahead of each other."""
         a = run_baseline(sc, TraceLevel.FULL)
         b = run_dons(sc, TraceLevel.FULL)
-        # Both engines stop within one lookahead of the cutoff.
         assert abs(a.end_time_ps - b.end_time_ps) <= sc.lookahead_ps
+        return a, b
+
+    def test_duration_cutoff(self, dumbbell_scenario):
+        sc = dataclasses.replace(dumbbell_scenario, duration_ps=us(50))
+        _, b = self._end_time_parity(sc)
+        # ... and stop within one lookahead of the cutoff.
         assert b.end_time_ps <= us(50) + sc.lookahead_ps
+
+    def test_end_time_long_flows(self):
+        """Flows outlasting the minimum RTO: ACKs move each deadline
+        many times, and the run still ends where the baseline's last
+        (stale) timer fires."""
+        topo = dumbbell(2, edge_rate_bps=1 * GBPS,
+                        bottleneck_rate_bps=1 * GBPS)
+        flows = [Flow(0, 0, 2, 3_000_000, 0, Transport.DCTCP),
+                 Flow(1, 1, 3, 2_000_000, 0, Transport.DCTCP)]
+        sc = make_scenario(topo, flows)
+        a, b = self._end_time_parity(sc)
+        assert a.completed() == b.completed() == 2

@@ -55,7 +55,9 @@ Wall-clock is machine-dependent, so the regression check is *relative*:
 the dons/ood time ratio of this run is compared against the baseline's
 ratio — the OOD engine acts as the per-machine speed calibration, the
 way the cost model uses measured quantities instead of absolute clocks.
-Event counts are deterministic and must match the baseline exactly.
+Event counts are deterministic and must match the baseline exactly,
+and so are the window counts of the serial and the 2-agent cluster run
+(``dons_windows``, ``cluster_windows``).
 
 Usage:
 
@@ -196,7 +198,8 @@ def measure() -> dict:
     steady_s, ffwd_s = [], []
     wan_s = []
     batch_s = {1: [], 4: [], 8: []}
-    ood_res = dons_res = numpy_res = cluster_run = fuzz_report = None
+    ood_res = dons_res = dons_eng = numpy_res = cluster_run = None
+    fuzz_report = None
     telem_res = batched_res = steady_res = ffwd_res = None
     live_res = None
     wan_res = wan_py_res = None
@@ -209,7 +212,8 @@ def measure() -> dict:
         # job exporting REPRO_BATCH_WINDOWS cannot silently change what
         # this harness times.
         t0 = time.perf_counter()
-        dons_res = run_dons(scenario, backend="python", batch_windows=1)
+        dons_eng = DodEngine(scenario, backend="python", batch_windows=1)
+        dons_res = dons_eng.run()
         dons_s.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         telem_res = run_dons(scenario, backend="python", telemetry=True,
@@ -334,6 +338,7 @@ def measure() -> dict:
             f / o for f, o in zip(fuzz_s, ood_s)),
         "ood_events": _events(ood_res),
         "dons_events": _events(dons_res),
+        "dons_windows": dons_eng.progress()["windows"],
         "dons_telemetry_events": _events(telem_res),
         "dons_live_events": _events(live_res),
         "dons_numpy_events": _events(numpy_res) if numpy_res else None,
@@ -366,7 +371,8 @@ def main(argv=None) -> int:
     print(f"ood      : {report['ood_s']:.3f}s  "
           f"({report['ood_events']['total']} events)")
     print(f"dons     : {report['dons_s']:.3f}s  "
-          f"({report['dons_events']['total']} events)")
+          f"({report['dons_events']['total']} events, "
+          f"{report['dons_windows']} windows)")
     print(f"telemetry: {report['dons_telemetry_s']:.3f}s  "
           f"(ratio {report['ratio_telemetry_over_plain']:.3f}, "
           f"gate {TELEMETRY_GATE:.2f})")
@@ -536,11 +542,12 @@ def main(argv=None) -> int:
                 "dons_live_events", "wan_twin_events"):
         if report[key] != base.get(key, report[key]):
             failures.append(f"{key} changed: {base[key]} -> {report[key]}")
-    if report["cluster_windows"] != base.get("cluster_windows",
-                                             report["cluster_windows"]):
-        failures.append(
-            f"cluster_windows changed: {base['cluster_windows']} -> "
-            f"{report['cluster_windows']}")
+    # Window counts are deterministic too: a change that re-inflates
+    # the calendar (e.g. one wakeup per visit instead of one pending
+    # RTO wakeup per flow) fails here even when every event count holds.
+    for key in ("dons_windows", "cluster_windows"):
+        if report[key] != base.get(key, report[key]):
+            failures.append(f"{key} changed: {base[key]} -> {report[key]}")
     limit = base["ratio_dons_over_ood"] * (1.0 + args.tolerance)
     if report["ratio_dons_over_ood"] > limit:
         failures.append(
